@@ -6,7 +6,8 @@ merged configuration next to its outputs so a run can be reproduced from
 the artifact directory alone.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 training
-divergence.
+divergence. Any other failure, such as a bug inside a grid cell, propagates
+with its traceback.
 """
 
 from __future__ import annotations
@@ -27,6 +28,15 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
+
+# Faults in the input data: they exit with EXIT_DATA, also from inside a grid cell.
+DATA_ERRORS = (
+    MalformedRecord,
+    UnknownAttack,
+    EmptyDataset,
+    evaluate.EmptyEvaluationSet,
+    detectors.SingleClassData,
+)
 
 _GAN_FIELDS = {
     f.name for f in dataclasses.fields(gan.TrainConfig) if f.name != "seed"
@@ -258,7 +268,7 @@ def cmd_train_ids(config: RunConfig) -> int:
             algorithm,
             X,
             y,
-            seed=nn.derive_seed(config.seed, "stage-ids", algorithm),
+            seed=evaluate.detector_seed(config.seed, algorithm),
             schema_fingerprint=schema.fingerprint(),
             hyperparams=config.ids_hyperparams.get(algorithm),
         )
@@ -397,20 +407,14 @@ def main(argv=None) -> int:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except evaluate.ExperimentCellError as exc:
-        cause = exc.__cause__
-        if isinstance(cause, gan.TrainingDiverged):
+        if isinstance(exc.cause, gan.TrainingDiverged):
             print(f"training diverged: {exc}", file=sys.stderr)
             return EXIT_DIVERGED
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (
-        MalformedRecord,
-        UnknownAttack,
-        EmptyDataset,
-        evaluate.EmptyEvaluationSet,
-        MissingArtifact,
-        FileNotFoundError,
-    ) as exc:
+        if isinstance(exc.cause, DATA_ERRORS):
+            print(f"data error: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        raise
+    except (*DATA_ERRORS, MissingArtifact, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -1,16 +1,20 @@
 """Detection-rate metrics and the (algorithm x attack x setting) experiment grid.
 
-Every grid cell trains a fresh detector on the detector half, measures its
-detection rate on the test split's attack records for that group, trains the
-adversarial generator against it on the generator half, regenerates the test
-attacks adversarially and measures the drop. Cells are seeded independently
-from the master seed so any subset of the grid reproduces exactly.
+As in the paper, each black-box detector is trained once per run on the
+detector half, seeded from (master seed, algorithm), and its predictions on
+each requested attack group's test records are made once. Every grid cell
+then attacks its algorithm's detector: it trains the adversarial generator
+against it on the generator half, regenerates the test attacks adversarially
+and measures the drop in detection rate. Generators are seeded per cell, so
+any subset of the grid reproduces the full grid's rows exactly.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -36,7 +40,18 @@ class UndefinedEIR(ValueError):
 
 
 class ExperimentCellError(RuntimeError):
-    """Wraps a sub-module failure with its experiment-cell coordinates."""
+    """Wraps a sub-module failure with its experiment-cell coordinates.
+
+    ``cause`` is the wrapped exception. Unlike ``__cause__``, it survives the
+    trip back from a pool worker.
+    """
+
+    def __init__(self, message: str, cause: BaseException):
+        super().__init__(message)
+        self.cause = cause
+
+    def __reduce__(self):
+        return type(self), (self.args[0], self.cause)
 
 
 def detection_rate(predictions, total: int | None = None) -> float:
@@ -153,6 +168,17 @@ class _GridInputs:
     gan_normals: np.ndarray
     gan_attacks: dict
     test_attacks: dict
+    # algorithm -> FittedDetector, filled in by run_experiment
+    detectors: dict = field(default_factory=dict)
+
+
+@dataclass
+class FittedDetector:
+    """One algorithm's detector, trained once per run and shared by its cells."""
+
+    model: detectors.ClassifierModel
+    # attack group -> the detector's labels for that group's test records
+    original_predictions: dict
 
 
 def _group_matrix(matrix, categories, wanted) -> np.ndarray:
@@ -197,6 +223,34 @@ def prepare_grid_inputs(config: ExperimentConfig) -> _GridInputs:
     )
 
 
+def detector_seed(master_seed: int, algorithm: str) -> int:
+    """The seed an algorithm's detector is trained with in a run."""
+    return nn.derive_seed(master_seed, "ids", algorithm)
+
+
+def fit_detector(inputs: _GridInputs, config: ExperimentConfig, algorithm: str) -> FittedDetector:
+    """Train `algorithm` on the detector half and label each requested test group."""
+    try:
+        for attack in config.attacks:
+            if len(inputs.test_attacks[attack]) == 0:
+                raise EmptyEvaluationSet(f"no {attack} attack records in the test split")
+        model = detectors.fit(
+            algorithm,
+            inputs.ids_X,
+            inputs.ids_y,
+            seed=detector_seed(config.master_seed, algorithm),
+            schema_fingerprint=inputs.fingerprint,
+            hyperparams=config.ids_hyperparams.get(algorithm),
+        )
+        original = {
+            attack: detectors.predict(model, inputs.test_attacks[attack], inputs.fingerprint)
+            for attack in config.attacks
+        }
+        return FittedDetector(model=model, original_predictions=original)
+    except Exception as exc:
+        raise ExperimentCellError(f"detector (algorithm={algorithm}): {exc}", exc) from exc
+
+
 def run_cell(
     inputs: _GridInputs,
     config: ExperimentConfig,
@@ -204,25 +258,18 @@ def run_cell(
     attack: str,
     setting: str,
 ):
-    """One grid cell: returns (EvalRow, per-epoch training history)."""
+    """One grid cell against ``inputs.detectors[algorithm]``.
+
+    Returns (EvalRow, per-epoch training history).
+    """
     cell = f"(algorithm={algorithm}, attack={attack}, setting={setting})"
     try:
+        detector = inputs.detectors[algorithm]
         cell_seed = nn.derive_seed(config.master_seed, algorithm, attack, setting)
         mask = mask_for(ATTACK_GROUPS[attack][0], setting)
 
-        ids_model = detectors.fit(
-            algorithm,
-            inputs.ids_X,
-            inputs.ids_y,
-            seed=nn.derive_seed(cell_seed, "ids"),
-            schema_fingerprint=inputs.fingerprint,
-            hyperparams=config.ids_hyperparams.get(algorithm),
-        )
-
         test_X = inputs.test_attacks[attack]
-        if len(test_X) == 0:
-            raise EmptyEvaluationSet(f"no {attack} attack records in the test split")
-        original_pred = detectors.predict(ids_model, test_X, inputs.fingerprint)
+        original_pred = detector.original_predictions[attack]
         n_detected_original = int((original_pred == detectors.LABEL_ATTACK).sum())
         original_dr = detection_rate(original_pred)
 
@@ -235,12 +282,12 @@ def run_cell(
         )
         data = gan.TrainData(normals=inputs.gan_normals, attacks=inputs.gan_attacks[attack])
         history = gan.train(
-            generator, critic, ids_model, data, mask, inputs.schema, gan_config
+            generator, critic, detector.model, data, mask, inputs.schema, gan_config
         )
 
         eval_noise = nn.make_rng(nn.derive_seed(cell_seed, "eval-noise"))
         _, adversarial = gan.generate(generator, test_X, mask, inputs.schema, eval_noise)
-        adv_pred = detectors.predict(ids_model, adversarial, inputs.fingerprint)
+        adv_pred = detectors.predict(detector.model, adversarial, inputs.fingerprint)
         n_detected_adv = int((adv_pred == detectors.LABEL_ATTACK).sum())
         adversarial_dr = detection_rate(adv_pred)
 
@@ -259,31 +306,68 @@ def run_cell(
         )
         return row, history
     except Exception as exc:
-        raise ExperimentCellError(f"cell {cell}: {exc}") from exc
+        raise ExperimentCellError(f"cell {cell}: {exc}", exc) from exc
 
 
-def _cell_worker(args):
-    inputs, config, algorithm, attack, setting = args
+def _fit_task(inputs, config, algorithm):
+    return algorithm, fit_detector(inputs, config, algorithm)
+
+
+def _cell_task(inputs, config, task):
+    algorithm, attack, setting, detector = task
+    # A pool worker's copy of the inputs predates the fits.
+    inputs.detectors[algorithm] = detector
     row, history = run_cell(inputs, config, algorithm, attack, setting)
     return (algorithm, attack, setting), row, history
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run the whole grid and assemble the report (rows in sorted cell order)."""
-    inputs = prepare_grid_inputs(config)
-    cells = [
-        (inputs, config, algorithm, attack, setting)
-        for algorithm in config.algorithms
-        for attack in config.attacks
-        for setting in config.settings
-    ]
-    if config.jobs > 1:
-        import multiprocessing
+# (inputs, config) inside a pool worker. The fork hands them over without
+# pickling, so tasks carry no matrices.
+_worker_run = None
 
-        with multiprocessing.get_context("fork").Pool(config.jobs) as pool:
-            results = pool.map(_cell_worker, cells)
-    else:
-        results = [_cell_worker(c) for c in cells]
+
+def _start_worker(inputs, config):
+    global _worker_run
+    _worker_run = (inputs, config)
+
+
+def _in_worker(fn, task):
+    return fn(*_worker_run, task)
+
+
+@contextmanager
+def _task_map(inputs, config: ExperimentConfig):
+    """map(fn, tasks) calling fn(inputs, config, task).
+
+    A plain loop, or with ``config.jobs > 1`` a fork pool running one task
+    per chunk.
+    """
+    if config.jobs <= 1:
+        yield lambda fn, tasks: [fn(inputs, config, t) for t in tasks]
+        return
+    import multiprocessing  # only here: the import alone adds ~0.6 MB to a serial run
+
+    with multiprocessing.get_context("fork").Pool(
+        config.jobs, initializer=_start_worker, initargs=(inputs, config)
+    ) as pool:
+        yield lambda fn, tasks: pool.map(partial(_in_worker, fn), tasks, chunksize=1)
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Fit each detector once, then run every cell against it.
+
+    Rows come out in sorted cell order.
+    """
+    inputs = prepare_grid_inputs(config)
+    with _task_map(inputs, config) as task_map:
+        fitted = dict(task_map(_fit_task, config.algorithms))
+        cells = [
+            (algorithm, attack, setting, fitted[algorithm])
+            for algorithm in config.algorithms
+            for attack in config.attacks
+            for setting in config.settings
+        ]
+        results = task_map(_cell_task, cells)
 
     report = EvalReport()
     traces = {}

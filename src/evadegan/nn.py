@@ -175,14 +175,12 @@ class RmsProp:
         for param, grad in params_and_grads:
             if param.shape != grad.shape:
                 raise ShapeMismatch(f"param {param.shape} vs grad {grad.shape}")
-            cache = self._cache.setdefault(id(param), np.zeros_like(param))
+            cache = self._cache.get(id(param))
+            if cache is None:
+                cache = self._cache[id(param)] = np.zeros_like(param)
             cache *= self.rho
             cache += (1.0 - self.rho) * grad * grad
             param -= self.learning_rate * grad / (np.sqrt(cache) + self.epsilon)
-
-
-def rmsprop_step(params_and_grads, state: RmsProp) -> None:
-    state.step(params_and_grads)
 
 
 def clip_weights(layer: LinearLayer, c: float) -> None:

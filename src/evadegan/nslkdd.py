@@ -256,10 +256,6 @@ class FeatureSchema:
     def binary_indices(self) -> tuple:
         return self.indices_of_kind(DISCRETE_BINARY)
 
-    @property
-    def multi_indices(self) -> tuple:
-        return self.indices_of_kind(DISCRETE_MULTI)
-
     def to_text(self) -> str:
         """Render the schema as a line-oriented text artifact (round-trips)."""
         lines = [f"# nslkdd-schema v{SCHEMA_FORMAT_VERSION}"]

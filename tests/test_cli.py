@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from evadegan import detectors, evaluate, gan, nn
 from evadegan.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -145,6 +147,28 @@ class TestStagedTraining:
             assert manifest["algorithm"] == algorithm
             assert manifest["schema_fingerprint"]
 
+    def test_train_ids_model_is_the_evaluate_detector(self, prepared, corpus_dir):
+        code = run_cli(
+            "train-ids", "--train", str(corpus_dir / "train.txt"),
+            "--out", str(prepared), "--seed", "5", "--ids", "lr",
+        )
+        assert code == EXIT_OK
+        staged = detectors.load_model(prepared / "models" / "lr.blob")
+        config = evaluate.ExperimentConfig(
+            train_path=str(corpus_dir / "train.txt"),
+            test_path=str(corpus_dir / "test.txt"),
+            master_seed=5,
+            algorithms=("lr",),
+        )
+        inputs = evaluate.prepare_grid_inputs(config)
+        fitted = evaluate.fit_detector(inputs, config, "lr")
+        assert staged.seed == fitted.model.seed
+        for attack in config.attacks:
+            np.testing.assert_array_equal(
+                staged.predict(inputs.test_attacks[attack]),
+                fitted.original_predictions[attack],
+            )
+
     def test_train_gan_requires_ids_model(self, prepared, corpus_dir, capsys):
         code = run_cli(
             "train-gan", "--train", str(corpus_dir / "train.txt"),
@@ -205,3 +229,34 @@ class TestEvaluate:
         assert run_cli("evaluate", "--config", str(out1 / "effective.cfg"), "--out", str(out2)) == EXIT_OK
         assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+class TestCellErrorExitCodes:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_data_cause_is_data_error(self, corpus_dir, tmp_path, capsys, jobs):
+        normals_only = tmp_path / "normals.txt"
+        lines = (corpus_dir / "test.txt").read_text().splitlines()
+        normals_only.write_text(
+            "\n".join(l for l in lines if l.split(",")[41] == "normal") + "\n"
+        )
+        code = run_cli(
+            "evaluate", "--train", str(corpus_dir / "train.txt"),
+            "--test", str(normals_only), "--out", str(tmp_path / "o"),
+            "--ids", "nb,dt", "--attack", "dos", "--jobs", jobs, *FAST_GAN,
+        )
+        assert code == EXIT_DATA
+        assert "algorithm=" in capsys.readouterr().err
+
+    def test_other_cause_is_raised(self, corpus_dir, tmp_path, monkeypatch):
+        def broken_train(*args, **kwargs):
+            raise nn.ShapeMismatch("expected (n, 9) input, got (64, 8)")
+
+        monkeypatch.setattr(gan, "train", broken_train)
+        with pytest.raises(evaluate.ExperimentCellError) as info:
+            run_cli(
+                "evaluate", "--train", str(corpus_dir / "train.txt"),
+                "--test", str(corpus_dir / "test.txt"), "--out", str(tmp_path / "o"),
+                "--ids", "nb", "--attack", "dos", "--setting", "functional_only",
+                *FAST_GAN,
+            )
+        assert isinstance(info.value.cause, nn.ShapeMismatch)

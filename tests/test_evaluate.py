@@ -1,11 +1,15 @@
 """DR/EIR metrics and the experiment grid."""
 
+import dataclasses
 import json
+import os
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from evadegan import evaluate, gan
+from evadegan import detectors, evaluate, gan
 from evadegan.detectors import LABEL_ATTACK, LABEL_NORMAL
 from evadegan.evaluate import (
     EmptyEvaluationSet,
@@ -191,6 +195,36 @@ class TestRunExperiment:
         again = run_experiment(config)
         assert again.report.to_csv_text() == result.report.to_csv_text()
 
+    def test_one_detector_fit_per_algorithm(self, corpus_dir, monkeypatch):
+        fits = Counter()
+        real_fit = detectors.fit
+
+        def counting_fit(algorithm, *args, **kwargs):
+            fits[algorithm] += 1
+            return real_fit(algorithm, *args, **kwargs)
+
+        monkeypatch.setattr(detectors, "fit", counting_fit)
+        config = ExperimentConfig(
+            train_path=str(corpus_dir / "train.txt"),
+            test_path=str(corpus_dir / "test.txt"),
+            algorithms=("lr", "dt"),
+            gan=gan.TrainConfig(epochs=1, probe_size=32),
+        )
+        result = run_experiment(config)
+        assert len(result.report.rows) == 2 * 2 * 2
+        assert fits == {"lr": 1, "dt": 1}
+
+    def test_attack_subset_matches_full_grid(self, small_grid_result):
+        config, result = small_grid_result
+        subset = run_experiment(dataclasses.replace(config, attacks=("u2r_r2l",)))
+        assert subset.report.rows == [r for r in result.report.rows if r.attack == "u2r_r2l"]
+
+    def test_jobs_give_identical_report(self, small_grid_result):
+        config, result = small_grid_result
+        pooled = run_experiment(dataclasses.replace(config, jobs=2))
+        assert pooled.report.to_csv_text() == result.report.to_csv_text()
+        assert pooled.traces == result.traces
+
     def test_cell_error_carries_context(self, corpus_dir):
         config = ExperimentConfig(
             train_path=str(corpus_dir / "train.txt"),
@@ -202,3 +236,21 @@ class TestRunExperiment:
         )
         with pytest.raises(evaluate.ExperimentCellError, match="attack=probe"):
             run_experiment(config)
+
+
+GOLDEN_REPORT = Path(__file__).parent / "golden" / "small_grid_report.csv"
+
+
+def test_small_grid_matches_golden_report(small_grid_result):
+    """The lr/dt grid's report.csv, byte for byte.
+
+    A change that moves these bytes on purpose rewrites the file with
+    ``EVADEGAN_WRITE_GOLDEN=1 python -m pytest tests/test_evaluate.py`` and
+    says in CHANGES.md which rows moved and why.
+    """
+    _, result = small_grid_result
+    text = result.report.to_csv_text()
+    if os.environ.get("EVADEGAN_WRITE_GOLDEN"):
+        GOLDEN_REPORT.parent.mkdir(exist_ok=True)
+        GOLDEN_REPORT.write_bytes(text.encode("utf-8"))
+    assert text.encode("utf-8") == GOLDEN_REPORT.read_bytes()
