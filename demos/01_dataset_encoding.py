@@ -9,6 +9,8 @@ import argparse
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from evadegan import nslkdd, synthetic
 
 
@@ -26,15 +28,18 @@ def main():
         print(f"wrote synthetic corpus -> {train_path}")
 
     records = nslkdd.load_file(train_path)
-    print(f"\nparsed {len(records)} records; first record:")
-    first = records[0]
-    print(f"  label={first.attack_name} ({first.category.value}), difficulty={first.difficulty}")
+    print(f"\nparsed {len(records)} records into columns; first record:")
+    category = nslkdd.CATEGORIES[records.category[0]]
+    print(f"  category={category.value}, difficulty={records.difficulty[0]}")
     for i in (0, 1, 2, 3, 4):
-        print(f"  {nslkdd.FEATURE_NAMES[i]} = {first.features[i]}")
+        if i in nslkdd.SYMBOLIC_INDICES:
+            value = records.tokens[0, nslkdd.SYMBOLIC_INDICES.index(i)]
+        else:
+            value = f"{records.values[0, i]:g}"
+        print(f"  {nslkdd.FEATURE_NAMES[i]} = {value}")
 
-    counts = {}
-    for r in records:
-        counts[r.category.value] = counts.get(r.category.value, 0) + 1
+    counts = np.bincount(records.category, minlength=len(nslkdd.CATEGORIES))
+    counts = {c.value: int(n) for c, n in zip(nslkdd.CATEGORIES, counts) if n}
     print("\ncategory counts:", dict(sorted(counts.items())))
 
     # the detector half owns the normalization ranges
@@ -53,15 +58,14 @@ def main():
         i = nslkdd.FEATURE_INDEX[name]
         print(f"  {name:>16}: [{schema.fmin[i]:g}, {schema.fmax[i]:g}]")
 
-    enc = nslkdd.encode(first, schema)
-    print(f"\nencoded first record (head): {[round(float(v), 4) for v in enc.values[:8]]}")
-    print(f"all 41 values inside [0,1]: {bool((enc.values >= 0).all() and (enc.values <= 1).all())}")
+    enc = nslkdd.encode_batch(records.take([0]), schema)[0]
+    print(f"\nencoded first record (head): {[round(float(v), 4) for v in enc[:8]]}")
+    print(f"all 41 values inside [0,1]: {bool((enc >= 0).all() and (enc <= 1).all())}")
 
     # encoding is invertible for non-constant features
     i = nslkdd.FEATURE_INDEX["src_bytes"]
-    back = nslkdd.decode_value(schema, i, enc.values[i])
-    print(f"src_bytes round trip: raw {first.features[i]} -> {enc.values[i]:.6f} -> {back:g}")
-
+    back = nslkdd.decode_value(schema, i, enc[i])
+    print(f"src_bytes round trip: raw {records.values[0, i]:g} -> {enc[i]:.6f} -> {back:g}")
 
 if __name__ == "__main__":
     main()

@@ -11,9 +11,8 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
-
 from evadegan import detectors, nslkdd, synthetic
+from evadegan.evaluate import detector_labels
 from evadegan.nslkdd import AttackCategory
 
 
@@ -37,13 +36,14 @@ def main():
     ids_half, _ = nslkdd.split_train(train, seed=args.seed)
     schema = nslkdd.build_schema(ids_half)
 
-    X, cats = nslkdd.encode_batch(ids_half, schema)
-    y = np.array([0 if c == AttackCategory.NORMAL else 1 for c in cats])
-    Xt, cats_t = nslkdd.encode_batch(test, schema)
-    cats_t = np.array([c.value for c in cats_t])
-
-    groups = [c for c in ("dos", "probe", "u2r", "r2l") if (cats_t == c).any()]
-    header = "  ".join(f"{g:>7}" for g in groups)
+    X = nslkdd.encode_batch(ids_half, schema)
+    y = detector_labels(ids_half)
+    Xt = nslkdd.encode_batch(test, schema)
+    groups = [
+        c for c in (AttackCategory.DOS, AttackCategory.PROBE, AttackCategory.U2R, AttackCategory.R2L)
+        if test.is_in((c,)).any()
+    ]
+    header = "  ".join(f"{g.value:>7}" for g in groups)
     print(f"\ndetection rate on test attacks (and false alarms on normal):")
     print(f"{'model':>6}  train-acc  {header}  false-alarm")
 
@@ -56,9 +56,9 @@ def main():
         pred = model.predict(Xt)
         drs = []
         for g in groups:
-            rows = cats_t == g
-            drs.append(float((pred[rows] == detectors.LABEL_ATTACK).mean()))
-        false_alarm = float((pred[cats_t == "normal"] == detectors.LABEL_ATTACK).mean())
+            drs.append(float((pred[test.is_in((g,))] == detectors.LABEL_ATTACK).mean()))
+        normal = test.is_in((AttackCategory.NORMAL,))
+        false_alarm = float((pred[normal] == detectors.LABEL_ATTACK).mean())
         dr_text = "  ".join(f"{100 * v:6.2f}%" for v in drs)
         print(
             f"{algorithm:>6}  {train_acc:9.4f}  {dr_text}  {100 * false_alarm:10.2f}%"

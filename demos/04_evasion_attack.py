@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from evadegan import detectors, gan, nn, nslkdd, synthetic
+from evadegan.evaluate import detector_labels, evasion_increase_rate
 from evadegan.masks import mask_for
 from evadegan.nslkdd import AttackCategory
 
@@ -50,15 +51,15 @@ def main():
     ids_half, gan_half = nslkdd.split_train(train, seed=args.seed)
     schema = nslkdd.build_schema(ids_half)
 
-    Xi, ci = nslkdd.encode_batch(ids_half, schema)
-    yi = np.array([0 if c == AttackCategory.NORMAL else 1 for c in ci])
-    Xg, cg = nslkdd.encode_batch(gan_half, schema)
-    Xt, ct = nslkdd.encode_batch(test, schema)
+    Xi = nslkdd.encode_batch(ids_half, schema)
+    yi = detector_labels(ids_half)
+    Xg = nslkdd.encode_batch(gan_half, schema)
+    Xt = nslkdd.encode_batch(test, schema)
 
-    wanted = set(GROUPS[args.attack])
-    normals = Xg[[i for i, c in enumerate(cg) if c == AttackCategory.NORMAL]]
-    attacks = Xg[[i for i, c in enumerate(cg) if c in wanted]]
-    test_attacks = Xt[[i for i, c in enumerate(ct) if c in wanted]]
+    wanted = GROUPS[args.attack]
+    normals = Xg[gan_half.is_in((AttackCategory.NORMAL,))]
+    attacks = Xg[gan_half.is_in(wanted)]
+    test_attacks = Xt[test.is_in(wanted)]
     mask = mask_for(GROUPS[args.attack][0], args.setting)
     print(
         f"\n{args.attack} records: {len(attacks)} for generator training, "
@@ -98,8 +99,6 @@ def main():
     print(f"\nadversarial detection rate: {100 * adv_dr:.2f}% "
           f"(was {100 * original_dr:.2f}%)")
     if original_dr > 0:
-        from evadegan.evaluate import evasion_increase_rate
-
         print(f"evasion increase rate: {100 * evasion_increase_rate(original_dr, adv_dr):.2f}%")
 
     changed = (adversarial != test_attacks).any(axis=0)

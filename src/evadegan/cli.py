@@ -205,40 +205,32 @@ def _require(path: Path, hint: str) -> Path:
 
 
 def _load_split(out: Path, config: RunConfig):
+    """The (detector half, generator half) records of a prepared run."""
     records = nslkdd.load_file(config.train_path)
-    ids_idx = [
-        int(line)
-        for line in _require(out / "split_ids.txt", "evadegan prepare")
-        .read_text()
-        .split()
-    ]
-    gan_idx = [
-        int(line)
-        for line in _require(out / "split_gan.txt", "evadegan prepare")
-        .read_text()
-        .split()
-    ]
-    return records, [records[i] for i in ids_idx], [records[i] for i in gan_idx]
+    return tuple(
+        records.take(
+            [int(i) for i in _require(out / name, "evadegan prepare").read_text().split()]
+        )
+        for name in ("split_ids.txt", "split_gan.txt")
+    )
 
 
 def cmd_prepare(config: RunConfig) -> int:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     records = nslkdd.load_file(config.train_path)
     ids_idx, gan_idx = nslkdd.split_indices(records, config.seed)
-    schema = build_schema([records[i] for i in ids_idx])
+    schema = build_schema(records.take(ids_idx))
 
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     schema.save(out / "schema.txt")
     (out / "split_ids.txt").write_text("\n".join(map(str, ids_idx)) + "\n", encoding="utf-8")
     (out / "split_gan.txt").write_text("\n".join(map(str, gan_idx)) + "\n", encoding="utf-8")
 
     summary = {"n_records": len(records), "halves": {}}
     for name, idx in (("ids_half", ids_idx), ("gan_half", gan_idx)):
-        counts = {}
-        for i in idx:
-            cat = records[i].category.value
-            counts[cat] = counts.get(cat, 0) + 1
-        summary["halves"][name] = {"size": len(idx), "categories": dict(sorted(counts.items()))}
+        counts = np.bincount(records.category[idx], minlength=len(nslkdd.CATEGORIES))
+        categories = {c.value: int(n) for c, n in zip(nslkdd.CATEGORIES, counts) if n}
+        summary["halves"][name] = {"size": len(idx), "categories": dict(sorted(categories.items()))}
     (out / "prepare_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -251,16 +243,9 @@ def cmd_prepare(config: RunConfig) -> int:
 def cmd_train_ids(config: RunConfig) -> int:
     out = Path(config.out_dir)
     schema = nslkdd.FeatureSchema.load(_require(out / "schema.txt", "evadegan prepare"))
-    _, ids_half, _ = _load_split(out, config)
-    X, cats = encode_batch(ids_half, schema)
-    y = np.array(
-        [
-            detectors.LABEL_NORMAL
-            if c == nslkdd.AttackCategory.NORMAL
-            else detectors.LABEL_ATTACK
-            for c in cats
-        ]
-    )
+    ids_half, _ = _load_split(out, config)
+    X = encode_batch(ids_half, schema)
+    y = evaluate.detector_labels(ids_half)
     model_dir = out / "models"
     model_dir.mkdir(exist_ok=True)
     for algorithm in config.algorithms:
@@ -282,16 +267,15 @@ def cmd_train_ids(config: RunConfig) -> int:
 def cmd_train_gan(config: RunConfig) -> int:
     out = Path(config.out_dir)
     schema = nslkdd.FeatureSchema.load(_require(out / "schema.txt", "evadegan prepare"))
-    _, _, gan_half = _load_split(out, config)
-    gan_X, gan_cats = encode_batch(gan_half, schema)
-    normals = gan_X[[i for i, c in enumerate(gan_cats) if c == nslkdd.AttackCategory.NORMAL]]
+    _, gan_half = _load_split(out, config)
+    gan_X = encode_batch(gan_half, schema)
+    normals = gan_X[gan_half.is_in((nslkdd.AttackCategory.NORMAL,))]
 
     for algorithm in config.algorithms:
         model_path = _require(out / "models" / f"{algorithm}.blob", "evadegan train-ids")
         ids_model = detectors.load_model(model_path)
         for attack in config.attacks:
-            wanted = set(evaluate.ATTACK_GROUPS[attack])
-            attacks = gan_X[[i for i, c in enumerate(gan_cats) if c in wanted]]
+            attacks = gan_X[gan_half.is_in(evaluate.ATTACK_GROUPS[attack])]
             for setting in config.settings:
                 mask = mask_for(evaluate.ATTACK_GROUPS[attack][0], setting)
                 run_seed = nn.derive_seed(config.seed, "stage-gan", algorithm, attack, setting)

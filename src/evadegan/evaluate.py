@@ -20,7 +20,8 @@ import numpy as np
 
 from . import detectors, gan, nn
 from .masks import ABLATION, FUNCTIONAL_ONLY, mask_for
-from .nslkdd import AttackCategory, FeatureSchema, build_schema, encode_batch, load_file, split_train
+from .nslkdd import AttackCategory, FeatureSchema, Records, build_schema, encode_batch
+from .nslkdd import load_file, split_train
 
 ATTACK_GROUPS = {
     "dos": (AttackCategory.DOS,),
@@ -181,45 +182,31 @@ class FittedDetector:
     original_predictions: dict
 
 
-def _group_matrix(matrix, categories, wanted) -> np.ndarray:
-    keep = [i for i, c in enumerate(categories) if c in wanted]
-    return matrix[keep]
+def detector_labels(records: Records) -> np.ndarray:
+    """The detectors' binary target: normal traffic against any attack."""
+    return np.where(
+        records.is_in((AttackCategory.NORMAL,)), detectors.LABEL_NORMAL, detectors.LABEL_ATTACK
+    )
 
 
 def prepare_grid_inputs(config: ExperimentConfig) -> _GridInputs:
-    train_records = load_file(config.train_path)
-    test_records = load_file(config.test_path)
-    ids_half, gan_half = split_train(train_records, config.master_seed)
+    train = load_file(config.train_path)
+    test = load_file(config.test_path)
+    ids_half, gan_half = split_train(train, config.master_seed)
 
     # Ranges and vocabularies come from the detector training half only.
     schema = build_schema(ids_half)
 
-    ids_X, ids_cats = encode_batch(ids_half, schema)
-    ids_y = np.array(
-        [
-            detectors.LABEL_NORMAL if c == AttackCategory.NORMAL else detectors.LABEL_ATTACK
-            for c in ids_cats
-        ]
-    )
-    gan_X, gan_cats = encode_batch(gan_half, schema)
-    test_X, test_cats = encode_batch(test_records, schema)
-
-    normal = {AttackCategory.NORMAL}
-    gan_attacks = {}
-    test_attacks = {}
-    for name in ATTACK_GROUPS:
-        wanted = set(ATTACK_GROUPS[name])
-        gan_attacks[name] = _group_matrix(gan_X, gan_cats, wanted)
-        test_attacks[name] = _group_matrix(test_X, test_cats, wanted)
-
+    gan_X = encode_batch(gan_half, schema)
+    test_X = encode_batch(test, schema)
     return _GridInputs(
         schema=schema,
         fingerprint=schema.fingerprint(),
-        ids_X=ids_X,
-        ids_y=ids_y,
-        gan_normals=_group_matrix(gan_X, gan_cats, normal),
-        gan_attacks=gan_attacks,
-        test_attacks=test_attacks,
+        ids_X=encode_batch(ids_half, schema),
+        ids_y=detector_labels(ids_half),
+        gan_normals=gan_X[gan_half.is_in((AttackCategory.NORMAL,))],
+        gan_attacks={name: gan_X[gan_half.is_in(group)] for name, group in ATTACK_GROUPS.items()},
+        test_attacks={name: test_X[test.is_in(group)] for name, group in ATTACK_GROUPS.items()},
     )
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import detectors, nn
-from .masks import FeatureMask, apply_mask_batch, postprocess
+from .masks import CategoryMismatch, FeatureMask, apply_mask_batch, postprocess
 from .nslkdd import N_FEATURES, FeatureSchema
 
 
@@ -31,10 +31,6 @@ class TrainingDiverged(RuntimeError):
 
 class EmptyPartition(ValueError):
     """Raised when a critic batch has no predicted-normal or no predicted-attack rows."""
-
-
-class CategoryMismatch(ValueError):
-    pass
 
 
 @dataclass

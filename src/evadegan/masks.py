@@ -22,7 +22,6 @@ from .nslkdd import (
     INTRINSIC,
     TIME_BASED,
     AttackCategory,
-    EncodedVector,
     FeatureSchema,
 )
 
@@ -130,22 +129,10 @@ def mask_for(category: AttackCategory, setting: str) -> FeatureMask:
     raise ValueError(f"unknown constraint setting: {setting!r}")
 
 
-def apply_mask(
-    original: EncodedVector, generated: np.ndarray, mask: FeatureMask
-) -> EncodedVector:
-    """Take generated values on modifiable positions, original values elsewhere."""
-    if mask.category != original.category:
-        raise CategoryMismatch(
-            f"mask is for {mask.category.value}, record is {original.category.value}"
-        )
-    out = np.where(mask.modifiable, np.asarray(generated, dtype=float), original.values)
-    return EncodedVector(values=out, category=original.category)
-
-
 def apply_mask_batch(
     originals: np.ndarray, generated: np.ndarray, mask: FeatureMask
 ) -> np.ndarray:
-    """Row-wise apply_mask over (n, 41) matrices."""
+    """Generated values on modifiable positions, original values elsewhere, row-wise."""
     return np.where(mask.modifiable[None, :], generated, originals)
 
 

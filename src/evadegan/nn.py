@@ -38,13 +38,6 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def uniform_noise(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n uniform draws in [0,1) from the given seeded generator."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return rng.random(n)
-
-
 class LinearLayer:
     """Dense layer y = x W^T + b with gradients filled by backward()."""
 
@@ -83,10 +76,6 @@ class LinearLayer:
     def zero_grad(self) -> None:
         self.grad_weights[:] = 0.0
         self.grad_bias[:] = 0.0
-
-
-def linear_forward(layer: LinearLayer, x: np.ndarray) -> np.ndarray:
-    return layer.forward(x, cache=False)
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:

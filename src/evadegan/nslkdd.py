@@ -1,10 +1,16 @@
-"""NSL-KDD record parsing, feature schema construction and [0,1] encoding.
+"""NSL-KDD parsing, feature schema construction and [0,1] encoding, by column.
 
 NSL-KDD rows are comma-separated with 43 fields: 41 traffic features, the
 attack label, and a difficulty score. The 41 features split into four sets
 (intrinsic 1-9, content 10-22, time-based 23-31, host-based 32-41) and into
 three kinds: 3 symbolic multi-valued features (protocol_type, service, flag),
 6 binary flags, and 32 continuous values.
+
+`load_file` reads a whole file into one columnar `Records` set. Blank lines
+are skipped; every other line must have 43 fields, an integer difficulty,
+finite numeric fields >= 0, binary fields of 0 or 1 (su_attempted 2 reads
+as 0) and a label in the attack taxonomy, or `MalformedRecord` (for the
+label `UnknownAttack`) names its 1-based line number; the CLI exits 3.
 
 Encoding converts symbolic tokens to 1-based vocabulary indices, then
 min-max normalizes every feature into [0,1] using ranges measured on the
@@ -15,6 +21,8 @@ detector training half only. Test-time values outside the training range
 from __future__ import annotations
 
 import hashlib
+import io
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -79,6 +87,9 @@ FEATURE_TABLE = (
 
 FEATURE_NAMES = tuple(name for name, _, _ in FEATURE_TABLE)
 FEATURE_INDEX = {name: i for i, name in enumerate(FEATURE_NAMES)}
+SYMBOLIC_INDICES = tuple(i for i, (_, kind, _) in enumerate(FEATURE_TABLE) if kind == DISCRETE_MULTI)
+BINARY_INDICES = tuple(i for i, (_, kind, _) in enumerate(FEATURE_TABLE) if kind == DISCRETE_BINARY)
+NUMERIC_INDICES = tuple(i for i in range(N_FEATURES) if i not in SYMBOLIC_INDICES)
 
 # protocol_type order is fixed so tcp/udp/icmp always encode as 1/2/3.
 PROTOCOL_SEED = ("tcp", "udp", "icmp")
@@ -90,6 +101,10 @@ class AttackCategory(Enum):
     DOS = "dos"
     U2R = "u2r"
     R2L = "r2l"
+
+
+# Records.category holds positions in this tuple.
+CATEGORIES = tuple(AttackCategory)
 
 
 # Attack-name taxonomy covering both KDDTrain+ and KDDTest+ labels,
@@ -145,7 +160,7 @@ SCHEMA_FORMAT_VERSION = 1
 
 
 class MalformedRecord(ValueError):
-    """Raised when a line does not parse as a 43-field NSL-KDD row."""
+    """Raised when a line is not a valid 43-field NSL-KDD row."""
 
 
 class UnknownAttack(KeyError):
@@ -161,24 +176,32 @@ class UnknownToken(KeyError):
 
 
 @dataclass(frozen=True)
-class RawRecord:
-    """One parsed NSL-KDD line: 41 feature tokens + label + difficulty."""
+class Records:
+    """Parsed NSL-KDD rows in file order, one array per column group.
 
-    features: tuple
-    attack_name: str
-    difficulty: int
-
-    @property
-    def category(self) -> AttackCategory:
-        return map_attack(self.attack_name)
-
-
-@dataclass(frozen=True)
-class EncodedVector:
-    """A 41-dim traffic vector with every element in [0,1]."""
+    ``values`` is (n, 41) float64: every numeric and binary feature in its
+    column, 0 in the symbolic columns. ``tokens`` is (n, 3): the stripped
+    symbolic tokens in feature order. ``category`` holds positions in
+    CATEGORIES; ``difficulty`` is int64.
+    """
 
     values: np.ndarray
-    category: AttackCategory
+    tokens: np.ndarray
+    category: np.ndarray
+    difficulty: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.category)
+
+    def take(self, index) -> "Records":
+        """The rows at `index` (index array or boolean mask), in that order."""
+        return Records(
+            self.values[index], self.tokens[index], self.category[index], self.difficulty[index]
+        )
+
+    def is_in(self, categories) -> np.ndarray:
+        """Boolean row mask of the records in any of `categories`."""
+        return np.isin(self.category, [CATEGORIES.index(c) for c in categories])
 
 
 def map_attack(attack_name: str) -> AttackCategory:
@@ -189,36 +212,94 @@ def map_attack(attack_name: str) -> AttackCategory:
         raise UnknownAttack(f"attack name not in taxonomy: {attack_name!r}") from None
 
 
-def parse_record(line: str, lineno: int | None = None) -> RawRecord:
-    """Parse one comma-separated NSL-KDD row (41 features + label + difficulty)."""
-    where = f" (line {lineno})" if lineno is not None else ""
-    fields = [f.strip() for f in line.strip().split(",")]
-    if len(fields) != N_FEATURES + 2:
-        raise MalformedRecord(
-            f"expected {N_FEATURES + 2} fields, got {len(fields)}{where}"
-        )
+# One parsed row: the numeric and binary features, then the difficulty.
+_ROW_DTYPE = np.dtype([("features", np.float64, (len(NUMERIC_INDICES),)), ("difficulty", np.int64)])
+# Read as text: the symbolic features, then the label.
+_TEXT_COLUMNS = (*SYMBOLIC_INDICES, N_FEATURES)
+_SU_ATTEMPTED = FEATURE_INDEX["su_attempted"]
+_ROW_ERRORS = (MalformedRecord, UnknownAttack)
+
+
+def _parse(text: str) -> Records:
+    """Parse and validate newline-separated rows; errors name no line."""
+    if not text.strip():
+        none = np.zeros(0, dtype=np.int64)
+        return Records(np.zeros((0, N_FEATURES)), np.zeros((0, 3), dtype=str), none, none)
+    read = dict(delimiter=",", comments=None)
     try:
-        difficulty = int(fields[-1])
-    except ValueError:
-        raise MalformedRecord(
-            f"difficulty is not an integer: {fields[-1]!r}{where}"
-        ) from None
-    return RawRecord(
-        features=tuple(fields[:N_FEATURES]),
-        attack_name=fields[-2],
-        difficulty=difficulty,
+        rows = np.loadtxt(
+            io.StringIO(text), usecols=(*NUMERIC_INDICES, N_FEATURES + 1), dtype=_ROW_DTYPE,
+            ndmin=1, **read,
+        )
+        fields = np.char.strip(
+            np.loadtxt(io.StringIO(text), usecols=_TEXT_COLUMNS, dtype=str, ndmin=2, **read)
+        )
+    except ValueError as exc:
+        raise MalformedRecord(re.sub(r"at row \d+, ", "in ", str(exc))) from None
+    # loadtxt demands the columns it reads but ignores any past the last one.
+    if text.count(",") != (N_FEATURES + 1) * len(rows):
+        raise MalformedRecord(f"expected {N_FEATURES + 2} fields per row")
+
+    # The symbolic columns are adjacent: slices copy around them several
+    # times faster than a fancy-indexed column assignment.
+    numeric, first = rows["features"], SYMBOLIC_INDICES[0]
+    values = np.concatenate(
+        [numeric[:, :first], np.zeros((len(rows), len(SYMBOLIC_INDICES))), numeric[:, first:]], axis=1
     )
+    su_attempted = values[:, _SU_ATTEMPTED]
+    su_attempted[su_attempted == 2.0] = 0.0
+    valid = np.isfinite(values) & (values >= 0.0)
+    binary = values[:, BINARY_INDICES]
+    valid[:, BINARY_INDICES] = (binary == 0.0) | (binary == 1.0)
+    if not valid.all():
+        row, col = np.argwhere(~valid)[0]
+        rule = "0 or 1" if col in BINARY_INDICES else "a finite number >= 0"
+        raise MalformedRecord(f"{FEATURE_NAMES[col]} must be {rule}, got {float(values[row, col])!r}")
+
+    labels, inverse = np.unique(fields[:, -1], return_inverse=True)
+    codes = np.array([CATEGORIES.index(map_attack(name)) for name in labels.tolist()], dtype=np.int64)
+    return Records(values, fields[:, :-1].copy(), codes[inverse], rows["difficulty"].copy())
 
 
-def load_file(path) -> list[RawRecord]:
-    """Read an NSL-KDD text file; parse errors carry the 1-based line number."""
-    records = []
+def load_file(path) -> Records:
+    """Read and validate an NSL-KDD text file; errors carry the 1-based line number."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            records.append(parse_record(line, lineno=lineno))
-    return records
+        text = fh.read()
+    # loadtxt warns on empty lines and rejects whitespace-only ones, so a
+    # file with either is parsed below, where blank lines are dropped.
+    if "\n\n" not in text and not text.startswith("\n"):
+        try:
+            return _parse(text)
+        except _ROW_ERRORS:
+            pass
+    lines = [(lineno, line) for lineno, line in enumerate(text.split("\n"), 1) if line.strip()]
+
+    def parse_lines(lo, hi):
+        return _parse("\n".join(line for _, line in lines[lo:hi]))
+
+    try:
+        return parse_lines(0, len(lines))
+    except _ROW_ERRORS as exc:
+        error = exc
+    # Rows parse independently, so a run of lines fails exactly when one of
+    # them does: bisect to the first line that fails on its own.
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            parse_lines(lo, mid)
+            lo = mid
+        except _ROW_ERRORS:
+            hi = mid
+    lineno, line = lines[lo]
+    n_fields = line.count(",") + 1
+    try:
+        if n_fields != N_FEATURES + 2:
+            raise MalformedRecord(f"expected {N_FEATURES + 2} fields, got {n_fields}")
+        parse_lines(lo, lo + 1)
+    except _ROW_ERRORS as exc:
+        error = exc
+    raise type(error)(f"{error.args[0]} (line {lineno})") from None
 
 
 @dataclass
@@ -300,78 +381,52 @@ class FeatureSchema:
         return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()
 
 
-def _numeric_value(schema: FeatureSchema, i: int, token: str, clamp: bool) -> float:
-    """Convert one raw token to its pre-normalization numeric value."""
-    kind = FEATURE_TABLE[i][1]
-    if kind == DISCRETE_MULTI:
+def _raw_matrix(records: Records, schema: FeatureSchema, clamp: bool) -> np.ndarray:
+    """Feature values before normalization, symbolic tokens as 1-based vocabulary positions."""
+    raw = records.values.copy()
+    for j, i in enumerate(SYMBOLIC_INDICES):
         vocab = schema.vocabs[i]
-        try:
-            return float(vocab.index(token) + 1)
-        except ValueError:
-            if not clamp:
-                raise UnknownToken(
-                    f"{FEATURE_NAMES[i]}: token {token!r} not in vocabulary"
-                ) from None
-            # Unknown tokens sit one past the known vocabulary, so the
-            # range clamp below pins them to the top of the train range.
-            return float(len(vocab) + 1)
-    value = float(token)
-    if FEATURE_NAMES[i] == "su_attempted" and value == 2.0:
-        value = 0.0
-    return value
+        tokens, inverse = np.unique(records.tokens[:, j], return_inverse=True)
+        position = {token: k for k, token in enumerate(vocab, 1)}
+        # Unknown tokens sit one past the known vocabulary, so the range
+        # clamp pins them to the top of the train range.
+        codes = np.array([position.get(t, len(vocab) + 1) for t in tokens.tolist()], dtype=float)
+        unknown = codes > len(vocab)
+        if unknown.any() and not clamp:
+            raise UnknownToken(f"{FEATURE_NAMES[i]}: token {tokens[unknown][0]!r} not in vocabulary")
+        raw[:, i] = codes[inverse]
+    return raw
 
 
-def build_schema(train_records: list) -> FeatureSchema:
-    """Build vocabularies and train min/max ranges from the training half."""
-    if not train_records:
+def build_schema(train: Records) -> FeatureSchema:
+    """Build vocabularies (first-seen order) and train min/max ranges from the training half."""
+    if len(train) == 0:
         raise EmptyDataset("no training records")
-
     vocabs = {}
-    for i in FeatureSchema.indices_of_kind(DISCRETE_MULTI):
+    for j, i in enumerate(SYMBOLIC_INDICES):
+        tokens, first = np.unique(train.tokens[:, j], return_index=True)
         seed = PROTOCOL_SEED if FEATURE_NAMES[i] == "protocol_type" else ()
-        vocab = list(seed)
-        seen = set(vocab)
-        for rec in train_records:
-            tok = rec.features[i]
-            if tok not in seen:
-                seen.add(tok)
-                vocab.append(tok)
-        vocabs[i] = vocab
+        vocabs[i] = list(seed) + [t for t in tokens[np.argsort(first)].tolist() if t not in seed]
 
-    schema = FeatureSchema(vocabs=vocabs, fmin=np.zeros(N_FEATURES), fmax=np.zeros(N_FEATURES))
-    raw = np.empty((len(train_records), N_FEATURES))
-    for r, rec in enumerate(train_records):
-        for i in range(N_FEATURES):
-            raw[r, i] = _numeric_value(schema, i, rec.features[i], clamp=False)
+    schema = FeatureSchema(vocabs=vocabs)
+    raw = _raw_matrix(train, schema, clamp=False)
     schema.fmin = raw.min(axis=0)
     schema.fmax = raw.max(axis=0)
-    for i in FeatureSchema.indices_of_kind(DISCRETE_BINARY):
-        schema.fmin[i] = 0.0
-        schema.fmax[i] = 1.0
+    schema.fmin[list(BINARY_INDICES)] = 0.0
+    schema.fmax[list(BINARY_INDICES)] = 1.0
     return schema
 
 
-def encode(record: RawRecord, schema: FeatureSchema, clamp: bool = True) -> EncodedVector:
-    """Min-max normalize one record into [0,1]^41 under the given schema."""
-    x = np.empty(N_FEATURES)
-    for i in range(N_FEATURES):
-        x[i] = _numeric_value(schema, i, record.features[i], clamp=clamp)
+def encode_batch(records: Records, schema: FeatureSchema, clamp: bool = True) -> np.ndarray:
+    """Min-max normalize every record into [0,1]^41: an (n, 41) matrix."""
+    x = _raw_matrix(records, schema, clamp)
     if clamp:
-        x = np.clip(x, schema.fmin, schema.fmax)
+        np.clip(x, schema.fmin, schema.fmax, out=x)
     span = schema.fmax - schema.fmin
-    out = np.where(span > 0.0, (x - schema.fmin) / np.where(span > 0.0, span, 1.0), 0.0)
-    return EncodedVector(values=out, category=record.category)
-
-
-def encode_batch(records: list, schema: FeatureSchema, clamp: bool = True):
-    """Encode records into an (n, 41) matrix plus the category list."""
-    mat = np.empty((len(records), N_FEATURES))
-    cats = []
-    for r, rec in enumerate(records):
-        enc = encode(rec, schema, clamp=clamp)
-        mat[r] = enc.values
-        cats.append(enc.category)
-    return mat, cats
+    x -= schema.fmin
+    x /= np.where(span > 0.0, span, 1.0)
+    np.copyto(x, 0.0, where=span <= 0.0)
+    return x
 
 
 def decode_value(schema: FeatureSchema, i: int, normalized: float) -> float:
@@ -379,35 +434,27 @@ def decode_value(schema: FeatureSchema, i: int, normalized: float) -> float:
     return schema.fmin[i] + normalized * (schema.fmax[i] - schema.fmin[i])
 
 
-def split_indices(records: list, seed: int):
-    """Deterministic near-equal split of record positions into two halves.
+def split_indices(records: Records, seed: int):
+    """Deterministic near-equal split of record positions into two index arrays.
 
     The shuffle is stratified per attack category and assignment alternates
     between halves, so every category with at least two records lands in
     both halves while the overall half sizes differ by at most one.
     """
     rng = np.random.default_rng(seed)
-    by_cat = {}
-    for idx, rec in enumerate(records):
-        by_cat.setdefault(rec.category.value, []).append(idx)
-
-    half_a, half_b = [], []
-    turn = 0
-    for cat in sorted(by_cat):
-        idxs = np.array(by_cat[cat], dtype=int)
+    order = [np.zeros(0, dtype=np.intp)]
+    for code in sorted(np.unique(records.category).tolist(), key=lambda c: CATEGORIES[c].value):
+        idxs = np.flatnonzero(records.category == code)
         rng.shuffle(idxs)
-        for idx in idxs:
-            (half_a if turn == 0 else half_b).append(int(idx))
-            turn ^= 1
-
-    a = np.array(half_a, dtype=int)
-    b = np.array(half_b, dtype=int)
+        order.append(idxs)
+    order = np.concatenate(order)
+    a, b = order[0::2].copy(), order[1::2].copy()
     rng.shuffle(a)
     rng.shuffle(b)
-    return a.tolist(), b.tolist()
+    return a, b
 
 
-def split_train(records: list, seed: int):
+def split_train(records: Records, seed: int):
     """Split records into the detector half and the generator half."""
     a, b = split_indices(records, seed)
-    return [records[i] for i in a], [records[i] for i in b]
+    return records.take(a), records.take(b)

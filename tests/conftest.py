@@ -9,10 +9,9 @@ synthetic corpus below.
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from evadegan import detectors, nslkdd, synthetic
+from evadegan import evaluate, nslkdd, synthetic
 
 CORPUS_SEED = 20240917
 N_TRAIN = 2600
@@ -50,19 +49,14 @@ def schema(halves):
 
 @pytest.fixture(scope="session")
 def encoded(halves, schema):
-    """(ids_X, ids_y, gan_X, gan_categories) from the synthetic corpus."""
+    """(ids_X, ids_y, gan_X, generator-half records) from the synthetic corpus."""
     ids_half, gan_half = halves
-    ids_X, ids_cats = nslkdd.encode_batch(ids_half, schema)
-    ids_y = np.array(
-        [
-            detectors.LABEL_NORMAL
-            if c == nslkdd.AttackCategory.NORMAL
-            else detectors.LABEL_ATTACK
-            for c in ids_cats
-        ]
+    return (
+        nslkdd.encode_batch(ids_half, schema),
+        evaluate.detector_labels(ids_half),
+        nslkdd.encode_batch(gan_half, schema),
+        gan_half,
     )
-    gan_X, gan_cats = nslkdd.encode_batch(gan_half, schema)
-    return ids_X, ids_y, gan_X, gan_cats
 
 
 def real_dataset_dir():

@@ -15,7 +15,7 @@ import os
 import numpy as np
 import pytest
 
-from evadegan import detectors, gan, nn, nslkdd
+from evadegan import detectors, evaluate, gan, nn, nslkdd
 from evadegan.evaluate import (
     ExperimentConfig,
     UndefinedEIR,
@@ -137,18 +137,16 @@ def trained_generators(corpus_dir):
     records = nslkdd.load_file(corpus_dir / "train.txt")
     ids_half, gan_half = nslkdd.split_train(records, seed=42)
     schema = nslkdd.build_schema(ids_half)
-    ids_X, ids_cats = nslkdd.encode_batch(ids_half, schema)
-    ids_y = np.array(
-        [0 if c == AttackCategory.NORMAL else 1 for c in ids_cats]
-    )
-    gan_X, gan_cats = nslkdd.encode_batch(gan_half, schema)
-    normals = gan_X[[i for i, c in enumerate(gan_cats) if c == AttackCategory.NORMAL]]
+    ids_X = nslkdd.encode_batch(ids_half, schema)
+    ids_y = evaluate.detector_labels(ids_half)
+    gan_X = nslkdd.encode_batch(gan_half, schema)
+    normals = gan_X[gan_half.is_in((AttackCategory.NORMAL,))]
     ids_model = detectors.fit("lr", ids_X, ids_y, seed=7)
 
     out = {}
     for attack, categories in (("dos", (AttackCategory.DOS,)),
                                ("u2r_r2l", (AttackCategory.U2R, AttackCategory.R2L))):
-        attacks = gan_X[[i for i, c in enumerate(gan_cats) if c in categories]]
+        attacks = gan_X[gan_half.is_in(categories)]
         mask = functional_mask(categories[0])
         config = gan.TrainConfig(epochs=8, seed=13, probe_size=32)
         generator = gan.build_generator(config, nn.make_rng(nn.derive_seed(13, attack, "g")))

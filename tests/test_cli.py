@@ -1,11 +1,13 @@
 """Command-line workflows: staging, artifacts, exit codes, reproducibility."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from evadegan import detectors, evaluate, gan, nn
+from evadegan import detectors, evaluate, gan, nn, nslkdd
 from evadegan.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -123,6 +125,21 @@ class TestPrepare:
         code = run_cli("prepare", "--train", str(tmp_path / "nope.txt"))
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("train", ["nope.txt", "bad.txt"])
+    def test_failed_prepare_leaves_no_directory(self, tmp_path, train):
+        (tmp_path / "bad.txt").write_text("this,is,short\n")
+        code = run_cli("prepare", "--train", str(tmp_path / train), "--out", str(tmp_path / "x"))
+        assert code == EXIT_DATA
+        assert not (tmp_path / "x").exists()
+
+    def test_artifacts_match_golden(self, prepared):
+        """The record-by-record ingest's split and schema, byte for byte (seed 5)."""
+        golden = json.loads(
+            (Path(__file__).parent / "golden" / "ingest_digests.json").read_text()
+        )["prepare --seed 5"]
+        for name, sha256 in golden.items():
+            assert hashlib.sha256((prepared / name).read_bytes()).hexdigest() == sha256, name
+
 
 class TestStagedTraining:
     def test_train_ids_requires_prepare(self, corpus_dir, tmp_path, capsys):
@@ -229,6 +246,35 @@ class TestEvaluate:
         assert run_cli("evaluate", "--config", str(out1 / "effective.cfg"), "--out", str(out2)) == EXIT_OK
         assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+class TestMalformedInput:
+    SEED = 5
+
+    @pytest.fixture(scope="class")
+    def halves(self, corpus_dir):
+        records = nslkdd.load_file(corpus_dir / "train.txt")
+        return dict(zip(("detector", "generator"), nslkdd.split_indices(records, self.SEED)))
+
+    @pytest.mark.parametrize("half", ["detector", "generator"])
+    @pytest.mark.parametrize("name,token", [("src_bytes", "abc"), ("dst_bytes", "nan")])
+    def test_bad_value_is_data_error(self, corpus_dir, tmp_path, capsys, halves, half, name, token):
+        lines = (corpus_dir / "train.txt").read_text().splitlines()
+        row = int(halves[half][0])
+        fields = lines[row].split(",")
+        fields[nslkdd.FEATURE_INDEX[name]] = token
+        lines[row] = ",".join(fields)
+        train = tmp_path / "train.txt"
+        train.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        code = run_cli(
+            "evaluate", "--train", str(train), "--test", str(corpus_dir / "test.txt"),
+            "--out", str(out), "--seed", str(self.SEED),
+            "--ids", "nb", "--attack", "dos", "--setting", "functional_only", *FAST_GAN,
+        )
+        assert code == EXIT_DATA
+        assert f"(line {row + 1})" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
 
 
 class TestCellErrorExitCodes:

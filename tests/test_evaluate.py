@@ -1,6 +1,7 @@
 """DR/EIR metrics and the experiment grid."""
 
 import dataclasses
+import hashlib
 import json
 import os
 from collections import Counter
@@ -254,3 +255,29 @@ def test_small_grid_matches_golden_report(small_grid_result):
         GOLDEN_REPORT.parent.mkdir(exist_ok=True)
         GOLDEN_REPORT.write_bytes(text.encode("utf-8"))
     assert text.encode("utf-8") == GOLDEN_REPORT.read_bytes()
+
+
+GOLDEN_INGEST = json.loads((Path(__file__).parent / "golden" / "ingest_digests.json").read_text())
+
+
+def inputs_digest(inputs) -> str:
+    """SHA-256 over every encoded matrix of `prepare_grid_inputs`, schema first."""
+    digest = hashlib.sha256(inputs.fingerprint.encode())
+    for matrix in (inputs.ids_X, inputs.ids_y, inputs.gan_normals):
+        digest.update(np.ascontiguousarray(matrix).tobytes())
+    for group in sorted(inputs.gan_attacks):
+        digest.update(np.ascontiguousarray(inputs.gan_attacks[group]).tobytes())
+        digest.update(np.ascontiguousarray(inputs.test_attacks[group]).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_INGEST["prepare_grid_inputs"]))
+def test_grid_inputs_match_golden_digest(corpus_dir, seed):
+    """Encoded grid inputs, byte for byte, as the record-by-record ingest produced them."""
+    config = ExperimentConfig(
+        train_path=str(corpus_dir / "train.txt"),
+        test_path=str(corpus_dir / "test.txt"),
+        master_seed=int(seed),
+    )
+    inputs = evaluate.prepare_grid_inputs(config)
+    assert inputs_digest(inputs) == GOLDEN_INGEST["prepare_grid_inputs"][seed]

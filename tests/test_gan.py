@@ -40,9 +40,9 @@ def first_feature_critic() -> nn.Network:
 
 @pytest.fixture()
 def dos_setup(encoded, schema):
-    ids_X, ids_y, gan_X, gan_cats = encoded
-    normals = gan_X[[i for i, c in enumerate(gan_cats) if c == AttackCategory.NORMAL]]
-    attacks = gan_X[[i for i, c in enumerate(gan_cats) if c == AttackCategory.DOS]]
+    ids_X, ids_y, gan_X, gan_half = encoded
+    normals = gan_X[gan_half.is_in((AttackCategory.NORMAL,))]
+    attacks = gan_X[gan_half.is_in((AttackCategory.DOS,))]
     mask = functional_mask(AttackCategory.DOS)
     ids_model = detectors.fit("lr", ids_X, ids_y, seed=1)
     return normals, attacks, mask, ids_model

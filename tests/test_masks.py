@@ -3,19 +3,18 @@
 import numpy as np
 import pytest
 
-from evadegan import masks, nslkdd
+from evadegan import gan, masks, nn, nslkdd
 from evadegan.masks import (
     FUNCTIONAL_ONLY,
     CategoryMismatch,
     NoAblationDefined,
     NoMaskForNormal,
     ablation_mask,
-    apply_mask,
     apply_mask_batch,
     functional_mask,
     postprocess,
 )
-from evadegan.nslkdd import AttackCategory, EncodedVector, FeatureSchema
+from evadegan.nslkdd import AttackCategory, FeatureSchema
 
 
 class TestFunctionalMask:
@@ -96,39 +95,43 @@ class TestAblationMask:
 
 
 class TestApplyMask:
-    def _vec(self, cat=AttackCategory.DOS):
-        rng = np.random.default_rng(0)
-        return EncodedVector(values=rng.random(41), category=cat)
+    def _rows(self, n=4, seed=0):
+        return np.random.default_rng(seed).random((n, 41))
 
     def test_all_frozen_is_identity(self):
-        original = self._vec()
+        original = self._rows()
         mask = masks.FeatureMask(
             modifiable=np.zeros(41, dtype=bool),
             category=AttackCategory.DOS,
             setting=FUNCTIONAL_ONLY,
         )
-        out = apply_mask(original, np.ones(41), mask)
-        assert np.array_equal(out.values, original.values)
+        out = apply_mask_batch(original, np.ones((4, 41)), mask)
+        assert np.array_equal(out, original)
 
     def test_generated_equals_original_is_identity(self):
-        original = self._vec()
+        original = self._rows()
         mask = functional_mask(AttackCategory.DOS)
-        out = apply_mask(original, original.values.copy(), mask)
-        assert np.array_equal(out.values, original.values)
+        out = apply_mask_batch(original, original.copy(), mask)
+        assert np.array_equal(out, original)
 
     def test_elementwise_selection(self):
-        original = self._vec()
+        original = self._rows()
         mask = functional_mask(AttackCategory.DOS)
-        generated = np.random.default_rng(1).random(41)
-        out = apply_mask(original, generated, mask)
-        for i in range(41):
-            expected = generated[i] if mask.modifiable[i] else original.values[i]
-            assert out.values[i] == expected
+        generated = self._rows(seed=1)
+        out = apply_mask_batch(original, generated, mask)
+        for r in range(4):
+            for i in range(41):
+                expected = generated[r, i] if mask.modifiable[i] else original[r, i]
+                assert out[r, i] == expected
 
-    def test_category_mismatch(self):
-        original = self._vec(AttackCategory.U2R)
+    def test_category_mismatch(self, schema):
+        # gan.generate raises the CategoryMismatch that masks defines.
+        generator = gan.build_generator(gan.TrainConfig(), nn.make_rng(0))
         with pytest.raises(CategoryMismatch):
-            apply_mask(original, np.ones(41), functional_mask(AttackCategory.DOS))
+            gan.generate(
+                generator, self._rows(), functional_mask(AttackCategory.DOS), schema,
+                nn.make_rng(1), categories=[AttackCategory.U2R] * 4,
+            )
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(2)
@@ -137,10 +140,8 @@ class TestApplyMask:
         mask = functional_mask(AttackCategory.U2R)
         batch = apply_mask_batch(originals, generated, mask)
         for r in range(8):
-            single = apply_mask(
-                EncodedVector(originals[r], AttackCategory.U2R), generated[r], mask
-            )
-            assert np.array_equal(batch[r], single.values)
+            single = apply_mask_batch(originals[r : r + 1], generated[r : r + 1], mask)
+            assert np.array_equal(batch[r], single[0])
 
 
 class TestPostprocess:

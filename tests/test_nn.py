@@ -13,10 +13,8 @@ from evadegan.nn import (
     ShapeMismatch,
     clip_network,
     clip_weights,
-    linear_forward,
     make_rng,
     relu_forward,
-    uniform_noise,
 )
 
 # layer shapes used by the adversarial pipeline (generator, critic, detector MLP)
@@ -47,25 +45,25 @@ class TestLinearForward:
         layer.weights = np.eye(3)
         layer.bias = np.zeros(3)
         x = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(linear_forward(layer, x), x)
+        assert np.array_equal(layer.forward(x, cache=False), x)
 
     def test_hand_example(self):
         layer = LinearLayer(2, 1, make_rng(0))
         layer.weights = np.array([[3.0, 4.0]])
         layer.bias = np.array([1.0])
-        assert linear_forward(layer, np.array([[1.0, 2.0]]))[0, 0] == 12.0
+        assert layer.forward(np.array([[1.0, 2.0]]), cache=False)[0, 0] == 12.0
 
     def test_against_naive_multiply(self):
         rng = make_rng(7)
         layer = LinearLayer(4, 3, rng)
         x = rng.normal(size=(5, 4))
         expected = naive_matmul(x, layer.weights, layer.bias)
-        assert np.allclose(linear_forward(layer, x), expected, atol=1e-12)
+        assert np.allclose(layer.forward(x, cache=False), expected, atol=1e-12)
 
     def test_shape_mismatch(self):
         layer = LinearLayer(4, 3, make_rng(0))
         with pytest.raises(ShapeMismatch):
-            linear_forward(layer, np.zeros((2, 5)))
+            layer.forward(np.zeros((2, 5)), cache=False)
 
 
 class TestRelu:
@@ -242,17 +240,17 @@ class TestClipWeights:
 
 class TestUniformNoise:
     def test_same_seed_same_sequence(self):
-        a = uniform_noise(make_rng(99), 1000)
-        b = uniform_noise(make_rng(99), 1000)
+        a = make_rng(99).random(1000)
+        b = make_rng(99).random(1000)
         assert np.array_equal(a, b)
 
     def test_range(self):
-        draws = uniform_noise(make_rng(1), 100_000)
+        draws = make_rng(1).random(100_000)
         assert draws.min() >= 0.0
         assert draws.max() < 1.0
 
     def test_mean_near_half(self):
-        draws = uniform_noise(make_rng(2), 100_000)
+        draws = make_rng(2).random(100_000)
         assert abs(draws.mean() - 0.5) < 0.01
 
 
