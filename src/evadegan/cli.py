@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import detectors, evaluate, gan, nn, nslkdd
-from .masks import ABLATION, FUNCTIONAL_ONLY, mask_for
+from .masks import ABLATION, FUNCTIONAL_ONLY
 from .nslkdd import EmptyDataset, MalformedRecord, UnknownAttack, build_schema, encode_batch
 
 EXIT_OK = 0
@@ -49,20 +49,6 @@ class ConfigError(ValueError):
 
 class MissingArtifact(FileNotFoundError):
     pass
-
-
-@dataclasses.dataclass
-class RunConfig:
-    train_path: str | None = None
-    test_path: str | None = None
-    out_dir: str = "runs/default"
-    seed: int = 42
-    algorithms: tuple = detectors.ALGORITHMS
-    attacks: tuple = ("dos", "u2r_r2l")
-    settings: tuple = (FUNCTIONAL_ONLY, ABLATION)
-    jobs: int = 1
-    gan: gan.TrainConfig = dataclasses.field(default_factory=gan.TrainConfig)
-    ids_hyperparams: dict = dataclasses.field(default_factory=dict)
 
 
 def _parse_scalar(text: str):
@@ -94,7 +80,7 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def _apply_key(config: RunConfig, key: str, raw: str) -> None:
+def _apply_key(config: evaluate.ExperimentConfig, key: str, raw: str) -> None:
     if key == "data.train":
         config.train_path = raw
     elif key == "data.test":
@@ -102,7 +88,7 @@ def _apply_key(config: RunConfig, key: str, raw: str) -> None:
     elif key == "out":
         config.out_dir = raw
     elif key == "seed":
-        config.seed = int(raw)
+        config.master_seed = int(raw)
     elif key == "jobs":
         config.jobs = int(raw)
     elif key == "ids.algorithms":
@@ -128,8 +114,8 @@ def _apply_key(config: RunConfig, key: str, raw: str) -> None:
         raise ConfigError(f"unknown config key: {key}")
 
 
-def build_run_config(args) -> RunConfig:
-    config = RunConfig()
+def build_run_config(args) -> evaluate.ExperimentConfig:
+    config = evaluate.ExperimentConfig()
     if args.config:
         for key, raw in parse_config_file(args.config).items():
             _apply_key(config, key, raw)
@@ -145,7 +131,7 @@ def build_run_config(args) -> RunConfig:
     if args.out:
         config.out_dir = args.out
     if args.seed is not None:
-        config.seed = args.seed
+        config.master_seed = args.seed
     if args.ids:
         config.algorithms = tuple(args.ids.split(","))
     if args.attack:
@@ -169,13 +155,13 @@ def build_run_config(args) -> RunConfig:
     return config
 
 
-def effective_config_text(config: RunConfig) -> str:
+def effective_config_text(config: evaluate.ExperimentConfig) -> str:
     """Flat dotted-key rendering of the merged configuration."""
     pairs = {
         "data.train": config.train_path,
         "data.test": config.test_path or "",
         "out": config.out_dir,
-        "seed": config.seed,
+        "seed": config.master_seed,
         "jobs": config.jobs,
         "ids.algorithms": ",".join(config.algorithms),
         "attacks": ",".join(config.attacks),
@@ -194,7 +180,7 @@ def effective_config_text(config: RunConfig) -> str:
     return "\n".join(f"{k} = {pairs[k]}" for k in sorted(pairs)) + "\n"
 
 
-def _write_effective_config(config: RunConfig, out: Path) -> None:
+def _write_effective_config(config: evaluate.ExperimentConfig, out: Path) -> None:
     (out / "effective.cfg").write_text(effective_config_text(config), encoding="utf-8")
 
 
@@ -204,7 +190,7 @@ def _require(path: Path, hint: str) -> Path:
     return path
 
 
-def _load_split(out: Path, config: RunConfig):
+def _load_split(out: Path, config: evaluate.ExperimentConfig):
     """The (detector half, generator half) records of a prepared run."""
     records = nslkdd.load_file(config.train_path)
     return tuple(
@@ -215,9 +201,9 @@ def _load_split(out: Path, config: RunConfig):
     )
 
 
-def cmd_prepare(config: RunConfig) -> int:
+def cmd_prepare(config: evaluate.ExperimentConfig) -> int:
     records = nslkdd.load_file(config.train_path)
-    ids_idx, gan_idx = nslkdd.split_indices(records, config.seed)
+    ids_idx, gan_idx = nslkdd.split_indices(records, config.master_seed)
     schema = build_schema(records.take(ids_idx))
 
     out = Path(config.out_dir)
@@ -240,7 +226,7 @@ def cmd_prepare(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_train_ids(config: RunConfig) -> int:
+def cmd_train_ids(config: evaluate.ExperimentConfig) -> int:
     out = Path(config.out_dir)
     schema = nslkdd.FeatureSchema.load(_require(out / "schema.txt", "evadegan prepare"))
     ids_half, _ = _load_split(out, config)
@@ -253,7 +239,7 @@ def cmd_train_ids(config: RunConfig) -> int:
             algorithm,
             X,
             y,
-            seed=evaluate.detector_seed(config.seed, algorithm),
+            seed=evaluate.detector_seed(config.master_seed, algorithm),
             schema_fingerprint=schema.fingerprint(),
             hyperparams=config.ids_hyperparams.get(algorithm),
         )
@@ -264,7 +250,8 @@ def cmd_train_ids(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_train_gan(config: RunConfig) -> int:
+def cmd_train_gan(config: evaluate.ExperimentConfig) -> int:
+    """Train each cell's GAN as `evaluate` does, against the staged detectors."""
     out = Path(config.out_dir)
     schema = nslkdd.FeatureSchema.load(_require(out / "schema.txt", "evadegan prepare"))
     _, gan_half = _load_split(out, config)
@@ -276,56 +263,31 @@ def cmd_train_gan(config: RunConfig) -> int:
         ids_model = detectors.load_model(model_path)
         for attack in config.attacks:
             attacks = gan_X[gan_half.is_in(evaluate.ATTACK_GROUPS[attack])]
+            data = gan.TrainData(normals=normals, attacks=attacks)
             for setting in config.settings:
-                mask = mask_for(evaluate.ATTACK_GROUPS[attack][0], setting)
-                run_seed = nn.derive_seed(config.seed, "stage-gan", algorithm, attack, setting)
-                train_config = dataclasses.replace(config.gan, seed=run_seed)
-                generator = gan.build_generator(
-                    train_config, nn.make_rng(nn.derive_seed(run_seed, "gen-init"))
-                )
-                critic = gan.build_critic(
-                    train_config, nn.make_rng(nn.derive_seed(run_seed, "critic-init"))
-                )
-                history = gan.train(
-                    generator,
-                    critic,
-                    ids_model,
-                    gan.TrainData(normals=normals, attacks=attacks),
-                    mask,
-                    schema,
-                    train_config,
+                cell = evaluate.train_cell_gan(
+                    config, algorithm, attack, setting, ids_model, data, schema
                 )
                 cell_dir = out / "gan" / f"{algorithm}_{attack}_{setting}"
                 cell_dir.mkdir(parents=True, exist_ok=True)
-                nn.save_network(generator, cell_dir / "generator.blob", {"role": "generator"})
-                nn.save_network(critic, cell_dir / "critic.blob", {"role": "critic"})
-                gan.write_trace_csv(cell_dir / "trace.csv", history)
-                final = history[-1].probe_adv_dr if history else float("nan")
+                nn.save_network(cell.generator, cell_dir / "generator.blob", {"role": "generator"})
+                nn.save_network(cell.critic, cell_dir / "critic.blob", {"role": "critic"})
+                gan.write_trace_csv(cell_dir / "trace.csv", cell.history)
+                final = cell.history[-1].probe_adv_dr if cell.history else float("nan")
                 print(
                     f"trained gan {algorithm}/{attack}/{setting}: "
-                    f"{len(history)} epochs, probe adversarial DR {final:.4f}"
+                    f"{len(cell.history)} epochs, probe adversarial DR {final:.4f}"
                 )
     _write_effective_config(config, out)
     return EXIT_OK
 
 
-def cmd_evaluate(config: RunConfig) -> int:
+def cmd_evaluate(config: evaluate.ExperimentConfig) -> int:
     if config.test_path is None:
         raise ConfigError("no test data path (data.test / --test)")
+    result = evaluate.run_experiment(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    experiment = evaluate.ExperimentConfig(
-        train_path=config.train_path,
-        test_path=config.test_path,
-        master_seed=config.seed,
-        algorithms=config.algorithms,
-        attacks=config.attacks,
-        settings=config.settings,
-        gan=config.gan,
-        ids_hyperparams=config.ids_hyperparams,
-        jobs=config.jobs,
-    )
-    result = evaluate.run_experiment(experiment)
     result.schema.save(out / "schema.txt")
     result.report.write_csv(out / "report.csv")
     result.report.write_json(out / "report.json")

@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from . import detectors, gan, nn
-from .masks import ABLATION, FUNCTIONAL_ONLY, mask_for
+from .masks import ABLATION, FUNCTIONAL_ONLY, FeatureMask, mask_for
 from .nslkdd import AttackCategory, FeatureSchema, Records, build_schema, encode_batch
 from .nslkdd import load_file, split_train
 
@@ -140,8 +140,15 @@ class EvalReport:
 
 @dataclass
 class ExperimentConfig:
-    train_path: str
-    test_path: str
+    """One run: its inputs, grid, seeds and hyperparameters.
+
+    The CLI fills it from config files and flags (where ``master_seed`` is
+    the ``seed`` key); ``out_dir`` is where the CLI writes the artifacts.
+    """
+
+    train_path: str | None = None
+    test_path: str | None = None
+    out_dir: str = "runs/default"
     master_seed: int = 42
     algorithms: tuple = detectors.ALGORITHMS
     attacks: tuple = ("dos", "u2r_r2l")
@@ -215,6 +222,44 @@ def detector_seed(master_seed: int, algorithm: str) -> int:
     return nn.derive_seed(master_seed, "ids", algorithm)
 
 
+def cell_seed(master_seed: int, algorithm: str, attack: str, setting: str) -> int:
+    """The seed a grid cell's GAN and its evaluation noise derive from."""
+    return nn.derive_seed(master_seed, algorithm, attack, setting)
+
+
+@dataclass
+class CellGan:
+    """A cell's constraint mask and the generator/critic pair trained under it."""
+
+    mask: FeatureMask
+    generator: nn.Network
+    critic: nn.Network
+    history: list
+
+
+def train_cell_gan(
+    config: ExperimentConfig,
+    algorithm: str,
+    attack: str,
+    setting: str,
+    ids_model: detectors.ClassifierModel,
+    data: gan.TrainData,
+    schema: FeatureSchema,
+) -> CellGan:
+    """Train the (algorithm, attack, setting) cell's generator and critic against ids_model.
+
+    ``evaluate`` and ``train-gan`` both train a cell here, so a staged
+    generator is the one the grid scores.
+    """
+    mask = mask_for(ATTACK_GROUPS[attack][0], setting)
+    seed = nn.derive_seed(cell_seed(config.master_seed, algorithm, attack, setting), "gan")
+    gan_config = replace(config.gan, seed=seed)
+    generator = gan.build_generator(gan_config, nn.make_rng(nn.derive_seed(seed, "gen-init")))
+    critic = gan.build_critic(gan_config, nn.make_rng(nn.derive_seed(seed, "critic-init")))
+    history = gan.train(generator, critic, ids_model, data, mask, schema, gan_config)
+    return CellGan(mask=mask, generator=generator, critic=critic, history=history)
+
+
 def fit_detector(inputs: _GridInputs, config: ExperimentConfig, algorithm: str) -> FittedDetector:
     """Train `algorithm` on the detector half and label each requested test group."""
     try:
@@ -252,28 +297,21 @@ def run_cell(
     cell = f"(algorithm={algorithm}, attack={attack}, setting={setting})"
     try:
         detector = inputs.detectors[algorithm]
-        cell_seed = nn.derive_seed(config.master_seed, algorithm, attack, setting)
-        mask = mask_for(ATTACK_GROUPS[attack][0], setting)
-
         test_X = inputs.test_attacks[attack]
         original_pred = detector.original_predictions[attack]
         n_detected_original = int((original_pred == detectors.LABEL_ATTACK).sum())
         original_dr = detection_rate(original_pred)
 
-        gan_config = replace(config.gan, seed=nn.derive_seed(cell_seed, "gan"))
-        generator = gan.build_generator(
-            gan_config, nn.make_rng(nn.derive_seed(gan_config.seed, "gen-init"))
-        )
-        critic = gan.build_critic(
-            gan_config, nn.make_rng(nn.derive_seed(gan_config.seed, "critic-init"))
-        )
         data = gan.TrainData(normals=inputs.gan_normals, attacks=inputs.gan_attacks[attack])
-        history = gan.train(
-            generator, critic, detector.model, data, mask, inputs.schema, gan_config
+        trained = train_cell_gan(
+            config, algorithm, attack, setting, detector.model, data, inputs.schema
         )
 
-        eval_noise = nn.make_rng(nn.derive_seed(cell_seed, "eval-noise"))
-        _, adversarial = gan.generate(generator, test_X, mask, inputs.schema, eval_noise)
+        seed = cell_seed(config.master_seed, algorithm, attack, setting)
+        eval_noise = nn.make_rng(nn.derive_seed(seed, "eval-noise"))
+        _, adversarial = gan.generate(
+            trained.generator, test_X, trained.mask, inputs.schema, eval_noise
+        )
         adv_pred = detectors.predict(detector.model, adversarial, inputs.fingerprint)
         n_detected_adv = int((adv_pred == detectors.LABEL_ATTACK).sum())
         adversarial_dr = detection_rate(adv_pred)
@@ -291,7 +329,7 @@ def run_cell(
             n_detected_adversarial=n_detected_adv,
             low_confidence=original_dr < LOW_CONFIDENCE_DR,
         )
-        return row, history
+        return row, trained.history
     except Exception as exc:
         raise ExperimentCellError(f"cell {cell}: {exc}", exc) from exc
 

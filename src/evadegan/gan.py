@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import detectors, nn
-from .masks import CategoryMismatch, FeatureMask, apply_mask_batch, postprocess
+from .masks import FeatureMask, apply_mask_batch, postprocess
 from .nslkdd import N_FEATURES, FeatureSchema
 
 
@@ -85,27 +85,6 @@ def build_critic(config: TrainConfig, rng: np.random.Generator) -> nn.Network:
     return nn.Network(dims, rng)
 
 
-def critic_scores(critic: nn.Network, batch: np.ndarray, cache: bool = False) -> np.ndarray:
-    return critic.forward(np.asarray(batch, dtype=float), cache=cache)[:, 0]
-
-
-def critic_loss(critic: nn.Network, pred_normal_batch, pred_attack_batch) -> float:
-    """Mean critic score over predicted-normal rows minus predicted-attack rows."""
-    pred_normal_batch = np.asarray(pred_normal_batch, dtype=float)
-    pred_attack_batch = np.asarray(pred_attack_batch, dtype=float)
-    if len(pred_normal_batch) == 0 or len(pred_attack_batch) == 0:
-        raise EmptyPartition("critic batch is missing one predicted class")
-    return float(
-        critic_scores(critic, pred_normal_batch).mean()
-        - critic_scores(critic, pred_attack_batch).mean()
-    )
-
-
-def generator_loss(critic: nn.Network, adversarial_batch) -> float:
-    """Mean critic score of the (continuous) adversarial batch."""
-    return float(critic_scores(critic, np.asarray(adversarial_batch, dtype=float)).mean())
-
-
 def _adversarial_forward(gen, originals, mask, schema, noise, cache=False):
     """Run the generator and constrain its output.
 
@@ -125,7 +104,6 @@ def generate(
     mask: FeatureMask,
     schema: FeatureSchema,
     noise_rng: np.random.Generator,
-    categories=None,
 ):
     """Produce (continuous_batch, discrete_batch) adversarial versions.
 
@@ -134,8 +112,6 @@ def generate(
     bit for bit in both.
     """
     originals = np.asarray(originals, dtype=float)
-    if categories is not None and any(c != mask.category for c in categories):
-        raise CategoryMismatch(f"batch contains records outside {mask.category.value}")
     noise = noise_rng.random((originals.shape[0], gen.dims[0] - N_FEATURES))
     _, continuous, discrete = _adversarial_forward(gen, originals, mask, schema, noise)
     return continuous, discrete
@@ -148,7 +124,10 @@ def _check_finite(*values) -> None:
 
 
 def generator_step(gen, critic, optimizer, batch, mask, schema, noise) -> float:
-    """One generator update toward lower critic scores; returns the loss."""
+    """One generator update toward lower critic scores.
+
+    Returns the loss: the critic's mean score over the masked continuous batch.
+    """
     raw, continuous, _ = _adversarial_forward(gen, batch, mask, schema, noise, cache=True)
     scores = critic.forward(continuous, cache=True)
     loss = float(scores.mean())
@@ -166,7 +145,11 @@ def generator_step(gen, critic, optimizer, batch, mask, schema, noise) -> float:
 
 
 def critic_step(critic, optimizer, batch, pred_normal, clip_c) -> float:
-    """One critic update on a batch partitioned by detector predictions."""
+    """One critic update on a batch partitioned by detector predictions.
+
+    Returns the loss: the mean score of the predicted-normal rows minus that
+    of the predicted-attack rows, both taken before the update.
+    """
     n_pn = int(pred_normal.sum())
     n_pa = len(pred_normal) - n_pn
     if n_pn == 0 or n_pa == 0:

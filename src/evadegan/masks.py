@@ -75,10 +75,6 @@ class NoAblationDefined(ValueError):
     """Raised for categories without an ablation feature list."""
 
 
-class CategoryMismatch(ValueError):
-    """Raised when a mask is applied to traffic of another category."""
-
-
 @dataclass(frozen=True)
 class FeatureMask:
     modifiable: np.ndarray

@@ -59,13 +59,20 @@ def encoded(halves, schema):
     )
 
 
+@pytest.fixture(autouse=True)
+def _run_in_tmp_path(tmp_path, monkeypatch):
+    """Run each test in its own directory, so relative paths never land in the checkout."""
+    monkeypatch.chdir(tmp_path)
+
+
+# Resolved at import, before any test changes the working directory.
+_NSLKDD_DIR = Path(os.environ["NSLKDD_DIR"]).resolve() if os.environ.get("NSLKDD_DIR") else None
+
+
 def real_dataset_dir():
     """Directory holding KDDTrain+.txt / KDDTest+.txt, or None."""
-    path = os.environ.get("NSLKDD_DIR")
-    if not path:
-        return None
-    path = Path(path)
-    if (path / "KDDTrain+.txt").exists() and (path / "KDDTest+.txt").exists():
+    path = _NSLKDD_DIR
+    if path and (path / "KDDTrain+.txt").exists() and (path / "KDDTest+.txt").exists():
         return path
     return None
 

@@ -190,7 +190,7 @@ def test_c5_constraint_suite_10k_records(trained_generators):
 # criterion 6: numerical suite
 
 
-def test_c6_numerical_suite():
+def test_c6_numerical_suite(schema):
     problems = []
 
     # finite-difference gradient checks for every pipeline layer configuration
@@ -247,16 +247,25 @@ def test_c6_numerical_suite():
         if abs(p[0] - q) > 1e-12:
             problems.append("rmsprop recurrence drift")
 
-    # loss values against mean / mean-difference oracles
+    # the losses the step functions return against mean / mean-difference oracles
     critic = nn.Network((41, 16, 1), nn.make_rng(4))
     rng = nn.make_rng(5)
     normal, attack = rng.random((10, 41)), rng.random((12, 41))
+    config = gan.TrainConfig()
+    generator = gan.build_generator(config, nn.make_rng(6))
+    mask = functional_mask(AttackCategory.DOS)
+    noise = rng.random((len(attack), config.noise_dim))
+    _, adversarial, _ = gan._adversarial_forward(generator, attack, mask, schema, noise)
+    adversarial_mean = critic.forward(adversarial, cache=False)[:, 0].mean()
+    loss_g = gan.generator_step(generator, critic, nn.RmsProp(), attack, mask, schema, noise)
+    if abs(loss_g - adversarial_mean) > 1e-12:
+        problems.append("generator loss oracle mismatch")
     sn = critic.forward(normal, cache=False)[:, 0]
     sa = critic.forward(attack, cache=False)[:, 0]
-    if abs(gan.critic_loss(critic, normal, attack) - (sn.mean() - sa.mean())) > 1e-12:
+    pred_normal = np.arange(len(normal) + len(attack)) < len(normal)
+    loss_d = gan.critic_step(critic, nn.RmsProp(), np.vstack([normal, attack]), pred_normal, 0.01)
+    if abs(loss_d - (sn.mean() - sa.mean())) > 1e-12:
         problems.append("critic loss oracle mismatch")
-    if abs(gan.generator_loss(critic, attack) - sa.mean()) > 1e-12:
-        problems.append("generator loss oracle mismatch")
 
     ok = not problems
     report_line("C6 numerical suite", ok, "all checks" if ok else "; ".join(problems))

@@ -55,7 +55,7 @@ class TestConfigParsing:
         args = parser.parse_args(["evaluate", "--config", str(cfg), "--seed", "12"])
         config = build_run_config(args)
         assert config.train_path == "/data/train.txt"
-        assert config.seed == 12  # flag wins over file
+        assert config.master_seed == 12  # flag wins over file
         assert config.gan.epochs == 9
         assert config.ids_hyperparams["knn"]["k"] == 3
 
@@ -125,10 +125,18 @@ class TestPrepare:
         code = run_cli("prepare", "--train", str(tmp_path / "nope.txt"))
         assert code == EXIT_DATA
 
-    @pytest.mark.parametrize("train", ["nope.txt", "bad.txt"])
-    def test_failed_prepare_leaves_no_directory(self, tmp_path, train):
+    @pytest.mark.parametrize(
+        "command,train",
+        [
+            pytest.param("prepare", "nope.txt", id="nope.txt"),
+            pytest.param("prepare", "bad.txt", id="bad.txt"),
+            pytest.param("evaluate", "bad.txt", id="evaluate-bad.txt"),
+        ],
+    )
+    def test_failed_prepare_leaves_no_directory(self, tmp_path, command, train):
         (tmp_path / "bad.txt").write_text("this,is,short\n")
-        code = run_cli("prepare", "--train", str(tmp_path / train), "--out", str(tmp_path / "x"))
+        data = str(tmp_path / train)
+        code = run_cli(command, "--train", data, "--test", data, "--out", str(tmp_path / "x"))
         assert code == EXIT_DATA
         assert not (tmp_path / "x").exists()
 
@@ -210,6 +218,22 @@ class TestStagedTraining:
         trace = (cell / "trace.csv").read_text().strip().splitlines()
         assert trace[0] == "epoch,loss_g,loss_d,probe_adv_dr"
         assert len(trace) == 1 + 3
+
+    def test_staged_cells_reproduce_evaluate(self, corpus_dir, tmp_path):
+        staged, graded = tmp_path / "staged", tmp_path / "graded"
+        data = ["--train", str(corpus_dir / "train.txt"), "--seed", "5", *FAST_GAN]
+        for command in ("prepare", "train-ids", "train-gan"):
+            assert run_cli(command, *data, "--out", str(staged), "--ids", "lr") == EXIT_OK
+        code = run_cli(
+            "evaluate", *data, "--test", str(corpus_dir / "test.txt"),
+            "--out", str(graded), "--ids", "lr",
+        )
+        assert code == EXIT_OK
+        assert (staged / "schema.txt").read_bytes() == (graded / "schema.txt").read_bytes()
+        for cell in ("lr_dos_functional_only", "lr_dos_ablation",
+                     "lr_u2r_r2l_functional_only", "lr_u2r_r2l_ablation"):
+            trace = (staged / "gan" / cell / "trace.csv").read_bytes()
+            assert trace == (graded / "traces" / f"{cell}.csv").read_bytes(), cell
 
 
 class TestEvaluate:

@@ -11,10 +11,8 @@ from evadegan.gan import (
     TrainingDiverged,
     build_critic,
     build_generator,
-    critic_loss,
     critic_step,
     generate,
-    generator_loss,
     generator_step,
     train,
 )
@@ -48,6 +46,23 @@ def dos_setup(encoded, schema):
     return normals, attacks, mask, ids_model
 
 
+def critic_loss(critic, normal, attack) -> float:
+    """The loss critic_step returns on predicted-normal rows, then predicted-attack rows."""
+    pred_normal = np.arange(len(normal) + len(attack)) < len(normal)
+    return critic_step(critic, nn.RmsProp(), np.vstack([normal, attack]), pred_normal, 0.01)
+
+
+def generator_loss(critic, batch, schema, seed) -> tuple:
+    """(loss generator_step returns, the masked continuous batch the critic scored)."""
+    config = TrainConfig()
+    gen = build_generator(config, nn.make_rng(seed))
+    mask = functional_mask(AttackCategory.DOS)
+    noise = nn.make_rng(seed + 1).random((len(batch), config.noise_dim))
+    _, continuous, _ = gan._adversarial_forward(gen, batch, mask, schema, noise)
+    loss = generator_step(gen, critic, nn.RmsProp(), batch, mask, schema, noise)
+    return loss, continuous
+
+
 class TestCriticLoss:
     def test_constant_critic_gives_zero(self):
         critic = constant_critic(0.7)
@@ -67,29 +82,31 @@ class TestCriticLoss:
         rng = nn.make_rng(4)
         normal = rng.random((13, 41))
         attack = rng.random((9, 41))
-        got = critic_loss(critic, normal, attack)
         scores_n = critic.forward(normal, cache=False)[:, 0]
         scores_a = critic.forward(attack, cache=False)[:, 0]
         oracle = sum(scores_n) / len(scores_n) - sum(scores_a) / len(scores_a)
+        got = critic_loss(critic, normal, attack)
         assert abs(got - oracle) <= 1e-12
 
     def test_empty_partition(self):
         critic = constant_critic(0.0)
         with pytest.raises(EmptyPartition):
-            critic_loss(critic, np.zeros((0, 41)), np.zeros((3, 41)))
+            critic_step(critic, nn.RmsProp(), np.zeros((3, 41)), np.zeros(3, dtype=bool), 0.01)
 
 
 class TestGeneratorLoss:
-    def test_constant_critic(self):
+    def test_constant_critic(self, schema):
         critic = constant_critic(-0.3)
         batch = nn.make_rng(5).random((6, 41))
-        assert generator_loss(critic, batch) == pytest.approx(-0.3, abs=1e-12)
+        loss, _ = generator_loss(critic, batch, schema, seed=15)
+        assert loss == pytest.approx(-0.3, abs=1e-12)
 
-    def test_matches_mean_oracle(self):
+    def test_matches_mean_oracle(self, schema):
         critic = nn.Network((41, 8, 1), nn.make_rng(6))
         batch = nn.make_rng(7).random((11, 41))
-        scores = critic.forward(batch, cache=False)[:, 0]
-        assert abs(generator_loss(critic, batch) - sum(scores) / len(scores)) <= 1e-12
+        loss, continuous = generator_loss(critic, batch, schema, seed=16)
+        scores = critic.forward(continuous, cache=False)[:, 0]
+        assert abs(loss - sum(scores) / len(scores)) <= 1e-12
 
     def test_constant_critic_gives_zero_generator_gradient(self, schema):
         config = TrainConfig(seed=0)
@@ -156,13 +173,6 @@ class TestGenerate:
         out2 = generate(gen, attacks, mask, schema, nn.make_rng(25))
         assert np.array_equal(out1[0], out2[0])
         assert np.array_equal(out1[1], out2[1])
-
-    def test_category_mismatch(self, dos_setup, schema):
-        _, attacks, mask, _ = dos_setup
-        gen = build_generator(TrainConfig(), nn.make_rng(26))
-        cats = [AttackCategory.U2R] * len(attacks)
-        with pytest.raises(gan.CategoryMismatch):
-            generate(gen, attacks, mask, schema, nn.make_rng(27), categories=cats)
 
     def test_generator_shape_contract(self):
         config = TrainConfig()

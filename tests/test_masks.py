@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from evadegan import gan, masks, nn, nslkdd
+from evadegan import masks, nslkdd
 from evadegan.masks import (
+    ABLATION,
     FUNCTIONAL_ONLY,
-    CategoryMismatch,
     NoAblationDefined,
     NoMaskForNormal,
     ablation_mask,
     apply_mask_batch,
     functional_mask,
+    mask_for,
     postprocess,
 )
 from evadegan.nslkdd import AttackCategory, FeatureSchema
@@ -124,15 +128,6 @@ class TestApplyMask:
                 expected = generated[r, i] if mask.modifiable[i] else original[r, i]
                 assert out[r, i] == expected
 
-    def test_category_mismatch(self, schema):
-        # gan.generate raises the CategoryMismatch that masks defines.
-        generator = gan.build_generator(gan.TrainConfig(), nn.make_rng(0))
-        with pytest.raises(CategoryMismatch):
-            gan.generate(
-                generator, self._rows(), functional_mask(AttackCategory.DOS), schema,
-                nn.make_rng(1), categories=[AttackCategory.U2R] * 4,
-            )
-
     def test_batch_matches_single(self):
         rng = np.random.default_rng(2)
         originals = rng.random((8, 41))
@@ -184,3 +179,35 @@ class TestAudit:
         assert len(lines) == 42  # header + 41 features
         assert "serror_rate\tfrozen" in text
         assert "dst_host_serror_rate\tmodifiable" in text
+
+
+# Every (category, setting) pair that has a mask.
+_MASKED_CELLS = [
+    (category, setting)
+    for category in AttackCategory
+    if category != AttackCategory.NORMAL
+    for setting in (FUNCTIONAL_ONLY, ABLATION)
+    if not (category == AttackCategory.PROBE and setting == ABLATION)
+]
+
+
+class TestProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), cell=st.sampled_from(_MASKED_CELLS))
+    def test_masked_postprocessed_output_keeps_every_constraint(self, schema, data, cell):
+        """Arbitrary finite generator output, even outside [0,1], cannot break a constraint."""
+        n = data.draw(st.integers(1, 8))
+        binary = list(schema.binary_indices)
+        originals = data.draw(arrays(np.float64, (n, 41), elements=st.floats(0.0, 1.0)))
+        originals[:, binary] = data.draw(arrays(np.bool_, (n, len(binary))))
+        generated = data.draw(
+            arrays(np.float64, (n, 41), elements=st.floats(allow_nan=False, allow_infinity=False))
+        )
+        mask = mask_for(*cell)
+
+        out = postprocess(apply_mask_batch(originals, generated, mask), schema)
+
+        frozen = ~mask.modifiable
+        assert np.array_equal(out[:, frozen].view(np.uint64), originals[:, frozen].view(np.uint64))
+        assert ((out >= 0.0) & (out <= 1.0)).all()
+        assert np.isin(out[:, binary], (0.0, 1.0)).all()
