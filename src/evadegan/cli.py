@@ -36,6 +36,7 @@ DATA_ERRORS = (
     EmptyDataset,
     evaluate.EmptyEvaluationSet,
     detectors.SingleClassData,
+    detectors.SchemaMismatch,
 )
 
 _GAN_FIELDS = {
@@ -258,8 +259,20 @@ def cmd_train_gan(config: evaluate.ExperimentConfig) -> int:
     gan_X = encode_batch(gan_half, schema)
     normals = gan_X[gan_half.is_in((nslkdd.AttackCategory.NORMAL,))]
 
+    # Every staged detector's manifest is checked before any cell trains;
+    # each detector is loaded only while its own cells train.
+    model_paths = {}
     for algorithm in config.algorithms:
         model_path = _require(out / "models" / f"{algorithm}.blob", "evadegan train-ids")
+        manifest = _require(model_path.with_suffix(".manifest.json"), "evadegan train-ids")
+        detectors.check_schema(
+            json.loads(manifest.read_text(encoding="utf-8")).get("schema_fingerprint"),
+            schema.fingerprint(),
+            f"staged {algorithm} detector",
+        )
+        model_paths[algorithm] = model_path
+
+    for algorithm, model_path in model_paths.items():
         ids_model = detectors.load_model(model_path)
         for attack in config.attacks:
             attacks = gan_X[gan_half.is_in(evaluate.ATTACK_GROUPS[attack])]

@@ -588,14 +588,18 @@ def fit(
     return model
 
 
+def check_schema(trained: str | None, current: str | None, what: str = "model") -> None:
+    """Raise SchemaMismatch when both fingerprints are known and differ."""
+    if trained is not None and current is not None and trained != current:
+        raise SchemaMismatch(
+            f"{what} was trained under schema {trained}, "
+            f"but the vectors are encoded under schema {current}"
+        )
+
+
 def predict(model: ClassifierModel, X, schema_fingerprint: str | None = None) -> np.ndarray:
     """Label a batch, optionally verifying the encoding schema fingerprint."""
-    if (
-        schema_fingerprint is not None
-        and model.schema_fingerprint is not None
-        and schema_fingerprint != model.schema_fingerprint
-    ):
-        raise SchemaMismatch("vectors were encoded under a different schema")
+    check_schema(model.schema_fingerprint, schema_fingerprint, f"{model.algorithm} detector")
     return model.predict(X)
 
 

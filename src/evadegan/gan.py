@@ -85,17 +85,21 @@ def build_critic(config: TrainConfig, rng: np.random.Generator) -> nn.Network:
     return nn.Network(dims, rng)
 
 
-def _adversarial_forward(gen, originals, mask, schema, noise, cache=False):
+def _masked_forward(gen, originals, mask, noise, cache=False):
     """Run the generator and constrain its output.
 
-    Returns (raw network output, continuous masked batch, discrete batch).
+    Returns (raw network output, continuous masked batch).
     """
     net_in = np.concatenate([originals, noise], axis=1)
     raw = gen.forward(net_in, cache=cache)
     clamped = np.clip(raw, 0.0, 1.0)
-    continuous = apply_mask_batch(originals, clamped, mask)
-    discrete = postprocess(continuous, schema)
-    return raw, continuous, discrete
+    return raw, apply_mask_batch(originals, clamped, mask)
+
+
+def _adversarial_forward(gen, originals, mask, schema, noise, cache=False):
+    """Returns (raw network output, continuous masked batch, discrete batch)."""
+    raw, continuous = _masked_forward(gen, originals, mask, noise, cache)
+    return raw, continuous, postprocess(continuous, schema)
 
 
 def generate(
@@ -128,14 +132,12 @@ def generator_step(gen, critic, optimizer, batch, mask, schema, noise) -> float:
 
     Returns the loss: the critic's mean score over the masked continuous batch.
     """
-    raw, continuous, _ = _adversarial_forward(gen, batch, mask, schema, noise, cache=True)
+    raw, continuous = _masked_forward(gen, batch, mask, noise, cache=True)
     scores = critic.forward(continuous, cache=True)
     loss = float(scores.mean())
 
     upstream = np.full((len(batch), 1), 1.0 / len(batch))
-    critic.zero_grad()
-    grad_in = critic.backward(upstream)
-    critic.zero_grad()
+    grad_in = critic.backward(upstream, param_grads=False)
     # No gradient through frozen positions or saturated clamps.
     gate = mask.modifiable[None, :] & (raw > 0.0) & (raw < 1.0)
     gen.zero_grad()
@@ -244,9 +246,7 @@ def train(
         loss_g = float(np.mean(g_losses)) if g_losses else float("nan")
         loss_d = float(np.mean(d_losses)) if d_losses else float("nan")
         probe_dr = _probe_detection_rate(gen, ids_model, probe, mask, schema, probe_rng)
-        _check_finite([loss_g], [0.0 if np.isnan(loss_d) else loss_d])
-        for param, _ in list(gen.parameters()) + list(critic.parameters()):
-            _check_finite(param)
+        _check_finite([loss_g, 0.0 if np.isnan(loss_d) else loss_d], gen.params, critic.params)
         history.append(
             EpochStats(
                 epoch=epoch,

@@ -132,13 +132,19 @@ def apply_mask_batch(
     return np.where(mask.modifiable[None, :], generated, originals)
 
 
+# Binary columns are fixed by FEATURE_TABLE, so every schema shares them.
+_BINARY_COLUMNS = list(FeatureSchema.indices_of_kind(DISCRETE_BINARY))
+
+
 def postprocess(vector: np.ndarray, schema: FeatureSchema) -> np.ndarray:
-    """Clamp to [0,1], then snap binary features to {0,1} (ties go to 1)."""
+    """Clamp to [0,1], then snap binary features to {0,1} (ties go to 1).
+
+    `schema` is not read: the binary columns come from FEATURE_TABLE.
+    """
     vector = np.asarray(vector, dtype=float)
     out = np.clip(vector, 0.0, 1.0)
-    binary = list(schema.indices_of_kind(DISCRETE_BINARY))
     if out.ndim == 1:
-        out[binary] = np.where(out[binary] >= 0.5, 1.0, 0.0)
+        out[_BINARY_COLUMNS] = np.where(out[_BINARY_COLUMNS] >= 0.5, 1.0, 0.0)
     else:
-        out[:, binary] = np.where(out[:, binary] >= 0.5, 1.0, 0.0)
+        out[:, _BINARY_COLUMNS] = np.where(out[:, _BINARY_COLUMNS] >= 0.5, 1.0, 0.0)
     return out

@@ -39,7 +39,10 @@ def derive_seed(master_seed: int, *parts) -> int:
 
 
 class LinearLayer:
-    """Dense layer y = x W^T + b with gradients filled by backward()."""
+    """Dense layer y = x W^T + b with gradients filled by backward().
+
+    A layer owns its arrays until a Network moves them into its flat buffers.
+    """
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         bound = np.sqrt(1.0 / in_dim)
@@ -63,23 +66,23 @@ class LinearLayer:
             raise ShapeMismatch(f"expected (n, {self.in_dim}) input, got {x.shape}")
         if cache:
             self._input = x
-        return x @ self.weights.T + self.bias
+        out = x @ self.weights.T
+        out += self.bias
+        return out
 
-    def backward(self, upstream: np.ndarray) -> np.ndarray:
+    def backward(self, upstream: np.ndarray, param_grads: bool = True) -> np.ndarray:
+        """Gradient w.r.t. the input; with `param_grads`, also accumulate W and b grads."""
         if self._input is None:
             raise NoCachedForward("backward before forward")
         upstream = np.asarray(upstream, dtype=float)
-        self.grad_weights += upstream.T @ self._input
-        self.grad_bias += upstream.sum(axis=0)
+        if param_grads:
+            self.grad_weights += upstream.T @ self._input
+            self.grad_bias += upstream.sum(axis=0)
         return upstream @ self.weights
 
-    def zero_grad(self) -> None:
-        self.grad_weights[:] = 0.0
-        self.grad_bias[:] = 0.0
 
-
-def relu_forward(x: np.ndarray) -> np.ndarray:
-    return np.maximum(0.0, np.asarray(x, dtype=float))
+def relu_forward(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(0.0, np.asarray(x, dtype=float), out=out)
 
 
 class Network:
@@ -87,6 +90,13 @@ class Network:
 
     ``dims`` gives the layer sizes, e.g. (50, 64, 41) builds two linear
     layers. ReLU follows every layer except the last.
+
+    All parameters live in one flat float64 array, ``params``, and all
+    gradients in another, ``grads``: each layer's ``weights``, ``bias`` and
+    ``grad_*`` are C-contiguous views into them (w0, b0, w1, b1, ...), so
+    an optimiser step, a clip or a zeroing is one array operation. Write
+    layer parameters in place (``layer.weights[:] = ...``); rebinding the
+    attribute detaches it from the buffer.
     """
 
     def __init__(self, dims, rng: np.random.Generator):
@@ -95,41 +105,57 @@ class Network:
         self.layers = [
             LinearLayer(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)
         ]
-        self._pre_acts = None
+        size = sum(layer.weights.size + layer.bias.size for layer in self.layers)
+        self.params = np.empty(size)
+        self.grads = np.zeros(size)
+        offset = 0
+        for layer in self.layers:
+            for name in ("weights", "bias"):
+                value = getattr(layer, name)
+                end = offset + value.size
+                view = self.params[offset:end].reshape(value.shape)
+                view[...] = value
+                setattr(layer, name, view)
+                setattr(layer, f"grad_{name}", self.grads[offset:end].reshape(value.shape))
+                offset = end
+        self._acts = None
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
-        pre_acts = []
+        acts = []
         out = np.asarray(x, dtype=float)
+        last = len(self.layers) - 1
         for k, layer in enumerate(self.layers):
             out = layer.forward(out, cache=cache)
-            if k < len(self.layers) - 1:
-                pre_acts.append(out)
-                out = relu_forward(out)
+            if k < last:
+                # In place: the pre-activation is needed only as the mask
+                # ``pre > 0``, which the ReLU output gives exactly.
+                out = relu_forward(out, out=out)
+                acts.append(out)
         if cache:
-            self._pre_acts = pre_acts
+            self._acts = acts
         return out
 
-    def backward(self, upstream: np.ndarray) -> np.ndarray:
-        """Accumulate parameter grads; returns the gradient w.r.t. the input."""
-        if self._pre_acts is None:
+    def backward(self, upstream: np.ndarray, param_grads: bool = True) -> np.ndarray:
+        """Returns the gradient w.r.t. the input.
+
+        With `param_grads` it also accumulates every layer's parameter
+        gradients into ``grads``; without, ``grads`` is left untouched.
+        """
+        if self._acts is None:
             raise NoCachedForward("backward before forward")
         grad = np.asarray(upstream, dtype=float)
         for k in range(len(self.layers) - 1, -1, -1):
             if k < len(self.layers) - 1:
-                grad = grad * (self._pre_acts[k] > 0.0)
-            grad = self.layers[k].backward(grad)
+                grad = grad * (self._acts[k] > 0.0)
+            grad = self.layers[k].backward(grad, param_grads)
         return grad
 
     def zero_grad(self) -> None:
-        for layer in self.layers:
-            layer.zero_grad()
+        self.grads.fill(0.0)
 
     def parameters(self):
-        out = []
-        for layer in self.layers:
-            out.append((layer.weights, layer.grad_weights))
-            out.append((layer.bias, layer.grad_bias))
-        return out
+        """The one (params, grads) pair, as the list RmsProp.step takes."""
+        return [(self.params, self.grads)]
 
     def param_arrays(self) -> dict:
         arrays = {}
@@ -152,43 +178,47 @@ class Network:
 
 
 class RmsProp:
-    """RMSProp: cache <- rho*cache + (1-rho)*g^2; p <- p - lr*g/(sqrt(cache)+eps)."""
+    """RMSProp: cache <- rho*cache + (1-rho)*g^2; p <- p - lr*g/(sqrt(cache)+eps).
+
+    Each step works in place on per-parameter state allocated on first use:
+    the cache and two scratch arrays, so a step makes no temporaries.
+    """
 
     def __init__(self, learning_rate: float = 1e-4, rho: float = 0.99, epsilon: float = 1e-8):
         self.learning_rate = learning_rate
         self.rho = rho
         self.epsilon = epsilon
-        self._cache = {}
+        self._state = {}
 
     def step(self, params_and_grads) -> None:
         for param, grad in params_and_grads:
             if param.shape != grad.shape:
                 raise ShapeMismatch(f"param {param.shape} vs grad {grad.shape}")
-            cache = self._cache.get(id(param))
-            if cache is None:
-                cache = self._cache[id(param)] = np.zeros_like(param)
+            state = self._state.get(id(param))
+            if state is None:
+                state = self._state[id(param)] = tuple(np.zeros_like(param) for _ in range(3))
+            cache, a, b = state
+            # The same operations, in the same order, as the formula above.
+            np.multiply(grad, 1.0 - self.rho, out=a)
+            a *= grad
             cache *= self.rho
-            cache += (1.0 - self.rho) * grad * grad
-            param -= self.learning_rate * grad / (np.sqrt(cache) + self.epsilon)
-
-
-def clip_weights(layer: LinearLayer, c: float) -> None:
-    """Clamp every weight and bias of the layer into [-c, c]."""
-    if c <= 0.0:
-        raise NonPositiveClip(f"clip threshold must be positive, got {c}")
-    np.clip(layer.weights, -c, c, out=layer.weights)
-    np.clip(layer.bias, -c, c, out=layer.bias)
+            cache += a
+            np.sqrt(cache, out=a)
+            a += self.epsilon
+            np.multiply(grad, self.learning_rate, out=b)
+            b /= a
+            param -= b
 
 
 def clip_network(net: Network, c: float) -> None:
-    for layer in net.layers:
-        clip_weights(layer, c)
+    """Clamp every weight and bias of the network into [-c, c]."""
+    if c <= 0.0:
+        raise NonPositiveClip(f"clip threshold must be positive, got {c}")
+    np.clip(net.params, -c, c, out=net.params)
 
 
 def max_abs_param(net: Network) -> float:
-    return max(
-        max(np.abs(l.weights).max(), np.abs(l.bias).max()) for l in net.layers
-    )
+    return float(np.abs(net.params).max())
 
 
 def save_network(net: Network, path, meta: dict | None = None) -> None:

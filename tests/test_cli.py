@@ -219,6 +219,24 @@ class TestStagedTraining:
         assert trace[0] == "epoch,loss_g,loss_d,probe_adv_dr"
         assert len(trace) == 1 + 3
 
+    def test_train_gan_rejects_stale_detector(self, corpus_dir, tmp_path, capsys):
+        """A detector staged under another split's schema is a data error, exit 3."""
+        out = tmp_path / "stale"
+        data = ["--train", str(corpus_dir / "train.txt"), "--out", str(out), "--ids", "lr"]
+        assert run_cli("prepare", *data, "--seed", "5") == EXIT_OK
+        assert run_cli("train-ids", *data, "--seed", "5") == EXIT_OK
+        staged = json.loads((out / "models" / "lr.manifest.json").read_text())
+        assert run_cli("prepare", *data, "--seed", "6") == EXIT_OK
+        current = nslkdd.FeatureSchema.load(out / "schema.txt").fingerprint()
+        assert staged["schema_fingerprint"] != current
+        capsys.readouterr()
+
+        code = run_cli("train-gan", *data, "--seed", "6", *FAST_GAN)
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "lr" in err and staged["schema_fingerprint"] in err and current in err
+        assert not (out / "gan").exists()
+
     def test_staged_cells_reproduce_evaluate(self, corpus_dir, tmp_path):
         staged, graded = tmp_path / "staged", tmp_path / "graded"
         data = ["--train", str(corpus_dir / "train.txt"), "--seed", "5", *FAST_GAN]

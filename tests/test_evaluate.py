@@ -1,5 +1,6 @@
 """DR/EIR metrics and the experiment grid."""
 
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -255,6 +256,50 @@ def test_small_grid_matches_golden_report(small_grid_result):
         GOLDEN_REPORT.parent.mkdir(exist_ok=True)
         GOLDEN_REPORT.write_bytes(text.encode("utf-8"))
     assert text.encode("utf-8") == GOLDEN_REPORT.read_bytes()
+
+
+GOLDEN_TRACES = Path(__file__).parent / "golden" / "small_grid_traces.json"
+
+
+def blas_environment() -> dict:
+    """numpy, its BLAS and, for OpenBLAS, the kernel it picked for this CPU.
+
+    The losses' last bits follow the GEMM kernel, so a digest mismatch on
+    another BLAS or kernel need not be a fault in the code.
+    """
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    env = {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}"}
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                   "openblas_get_corename"):  # fmt: skip
+        if hasattr(lib, symbol):
+            getattr(lib, symbol).restype = ctypes.c_char_p
+            env["blas_core"] = getattr(lib, symbol)().decode()
+            break
+    return env
+
+
+def test_small_grid_matches_golden_traces(small_grid_result, tmp_path):
+    """SHA-256 of every trace CSV of the lr/dt grid, as `evaluate` writes them.
+
+    The traces hold each epoch's losses as ``repr``, so a last-bit drift in
+    the GAN step shows here even when no DR count moves. The golden file
+    also names the numpy, BLAS and BLAS kernel it was recorded with. Rewrite
+    with ``EVADEGAN_WRITE_GOLDEN=1 python -m pytest tests/test_evaluate.py``.
+    """
+    _, result = small_grid_result
+    digests = {}
+    for cell, history in sorted(result.traces.items()):
+        path = tmp_path / ("_".join(cell) + ".csv")
+        gan.write_trace_csv(path, history)
+        digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    if os.environ.get("EVADEGAN_WRITE_GOLDEN"):
+        record = {"environment": blas_environment(), "digests": digests}
+        GOLDEN_TRACES.write_text(json.dumps(record, indent=2) + "\n")
+    golden = json.loads(GOLDEN_TRACES.read_text())
+    assert digests == golden["digests"], (
+        f"recorded with {golden['environment']}, run with {blas_environment()}"
+    )
 
 
 GOLDEN_INGEST = json.loads((Path(__file__).parent / "golden" / "ingest_digests.json").read_text())

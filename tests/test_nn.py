@@ -12,7 +12,6 @@ from evadegan.nn import (
     RmsProp,
     ShapeMismatch,
     clip_network,
-    clip_weights,
     make_rng,
     relu_forward,
 )
@@ -203,39 +202,48 @@ class TestRmsProp:
             RmsProp().step([(np.zeros(3), np.zeros(4))])
 
 
+def one_layer(in_dim, out_dim, seed):
+    """A single-layer network: its only layer's weights and bias are the whole buffer."""
+    net = Network((in_dim, out_dim), make_rng(seed))
+    return net, net.layers[0]
+
+
 class TestClipWeights:
     def test_clips_above_threshold(self):
-        layer = LinearLayer(2, 2, make_rng(0))
+        net, layer = one_layer(2, 2, 0)
         layer.weights[0, 0] = 0.05
-        clip_weights(layer, 0.01)
+        clip_network(net, 0.01)
         assert layer.weights[0, 0] == 0.01
 
     def test_within_range_unchanged(self):
-        layer = LinearLayer(2, 2, make_rng(0))
+        net, layer = one_layer(2, 2, 0)
         layer.weights[:] = -0.005
         layer.bias[:] = 0.003
-        clip_weights(layer, 0.01)
+        clip_network(net, 0.01)
         assert np.all(layer.weights == -0.005)
         assert np.all(layer.bias == 0.003)
 
     def test_idempotent(self):
-        layer = LinearLayer(3, 3, make_rng(2))
+        net, layer = one_layer(3, 3, 2)
         layer.weights *= 10
-        clip_weights(layer, 0.01)
+        clip_network(net, 0.01)
         snapshot = layer.weights.copy()
-        clip_weights(layer, 0.01)
+        clip_network(net, 0.01)
         assert np.array_equal(layer.weights, snapshot)
 
     def test_biases_clipped_too(self):
-        layer = LinearLayer(2, 2, make_rng(0))
+        net, layer = one_layer(2, 2, 0)
         layer.bias[:] = 5.0
-        clip_weights(layer, 0.01)
+        clip_network(net, 0.01)
         assert np.all(layer.bias == 0.01)
 
     def test_non_positive_threshold(self):
-        layer = LinearLayer(2, 2, make_rng(0))
-        with pytest.raises(NonPositiveClip):
-            clip_weights(layer, 0.0)
+        net = Network((4, 8, 1), make_rng(6))
+        before = net.params.copy()
+        for c in (0.0, -0.01):
+            with pytest.raises(NonPositiveClip):
+                clip_network(net, c)
+        assert np.array_equal(net.params, before)
 
 
 class TestUniformNoise:
@@ -278,3 +286,100 @@ def test_clip_network_bounds_everything():
         layer.weights *= 100
     clip_network(net, 0.01)
     assert nn.max_abs_param(net) <= 0.01
+
+
+class TestFlatBuffer:
+    """Every layer's parameters and gradients are views into one buffer each."""
+
+    @pytest.mark.parametrize("dims", PIPELINE_DIMS)
+    def test_views_into_one_buffer(self, dims):
+        net = Network(dims, make_rng(8))
+        ((params, grads),) = net.parameters()
+        assert params is net.params and grads is net.grads
+        assert params.size == sum(l.weights.size + l.bias.size for l in net.layers)
+        for layer in net.layers:
+            for array, flat in (
+                (layer.weights, params),
+                (layer.bias, params),
+                (layer.grad_weights, grads),
+                (layer.grad_bias, grads),
+            ):
+                assert array.base is flat and array.flags.c_contiguous
+
+    @pytest.mark.parametrize("dims", PIPELINE_DIMS)
+    def test_initialisation_unchanged(self, dims):
+        """The buffer holds the per-layer RNG draws, in their old order."""
+        net = Network(dims, make_rng(9))
+        rng = make_rng(9)
+        expected = [LinearLayer(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
+        for layer, ref in zip(net.layers, expected):
+            assert np.array_equal(layer.weights, ref.weights)
+            assert np.array_equal(layer.bias, ref.bias)
+        assert not net.grads.any()
+
+    def test_layer_writes_show_in_parameters(self):
+        net = Network((5, 4, 3), make_rng(1))
+        ((params, _),) = net.parameters()
+        net.layers[1].weights[2, 1] = 7.5
+        net.layers[0].bias[3] = -2.0
+        assert params[5 * 4 + 4 + 2 * 4 + 1] == 7.5
+        assert params[5 * 4 + 3] == -2.0
+
+    def test_zero_grad_clears_every_layer(self):
+        net = Network((5, 4, 3), make_rng(1))
+        net.forward(make_rng(2).random((6, 5)))
+        net.backward(np.ones((6, 3)))
+        assert net.grads.any()
+        net.zero_grad()
+        assert all(not l.grad_weights.any() and not l.grad_bias.any() for l in net.layers)
+
+    def test_save_load_round_trip_bit_equal(self, tmp_path):
+        net = Network((50, 64, 96, 41), make_rng(3))
+        RmsProp(0.05).step([(net.params, make_rng(4).normal(size=net.params.size))])
+        nn.save_network(net, tmp_path / "net.blob")
+        loaded, _ = nn.load_network(tmp_path / "net.blob")
+        assert np.array_equal(loaded.params.view(np.uint64), net.params.view(np.uint64))
+        for mine, theirs in zip(loaded.layers, net.layers):
+            assert mine.weights.base is loaded.params
+            assert np.array_equal(mine.weights, theirs.weights)
+
+
+def unfused_rmsprop(p, cache, g, lr, rho, eps):
+    """The RMSProp update written as plain expressions, fresh arrays each step."""
+    cache = rho * cache + (1.0 - rho) * g * g
+    return p - lr * g / (np.sqrt(cache) + eps), cache
+
+
+def test_rmsprop_bit_equal_to_unfused_formula():
+    rng = make_rng(21)
+    net = Network((41, 64, 32, 1), rng)
+    p = net.params.copy()
+    cache = np.zeros_like(p)
+    opt = RmsProp(learning_rate=1e-3, rho=0.9, epsilon=1e-8)
+    for _ in range(20):
+        g = rng.normal(size=p.size) * 10.0 ** rng.integers(-6, 2)
+        net.grads[:] = g
+        opt.step(net.parameters())
+        p, cache = unfused_rmsprop(p, cache, g, 1e-3, 0.9, 1e-8)
+        assert np.array_equal(net.params, p)
+
+
+@pytest.mark.parametrize("dims", PIPELINE_DIMS)
+def test_backward_without_param_grads(dims):
+    """The input gradient, bit for bit, and the parameter gradients left alone."""
+    rng = make_rng(31)
+    net = Network(dims, rng)
+    x = rng.random((16, dims[0]))
+    upstream = rng.normal(size=(16, dims[-1]))
+    net.forward(x)
+    net.zero_grad()
+    full = net.backward(upstream)
+    grads_after_full = net.grads.copy()
+
+    net.forward(x)
+    net.grads[:] = rng.normal(size=net.grads.size)
+    before = net.grads.copy()
+    only_input = net.backward(upstream, param_grads=False)
+    assert np.array_equal(only_input, full)
+    assert np.array_equal(net.grads, before)
+    assert grads_after_full.any()
