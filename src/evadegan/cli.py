@@ -81,6 +81,13 @@ def parse_config_file(path) -> dict:
     return values
 
 
+def _parse_int(key: str, raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
+
+
 def _apply_key(config: evaluate.ExperimentConfig, key: str, raw: str) -> None:
     if key == "data.train":
         config.train_path = raw
@@ -89,9 +96,9 @@ def _apply_key(config: evaluate.ExperimentConfig, key: str, raw: str) -> None:
     elif key == "out":
         config.out_dir = raw
     elif key == "seed":
-        config.master_seed = int(raw)
+        config.master_seed = _parse_int(key, raw)
     elif key == "jobs":
-        config.jobs = int(raw)
+        config.jobs = _parse_int(key, raw)
     elif key == "ids.algorithms":
         config.algorithms = tuple(a.strip() for a in raw.split(",") if a.strip())
     elif key == "attacks":
@@ -108,7 +115,7 @@ def _apply_key(config: evaluate.ExperimentConfig, key: str, raw: str) -> None:
         setattr(config.gan, name, value)
     elif key.startswith("ids."):
         parts = key.split(".")
-        if len(parts) != 3 or parts[1] not in detectors.ALGORITHMS:
+        if len(parts) != 3 or parts[2] not in detectors.DEFAULT_HYPERPARAMS.get(parts[1], ()):
             raise ConfigError(f"unknown config key: {key}")
         config.ids_hyperparams.setdefault(parts[1], {})[parts[2]] = _parse_scalar(raw)
     else:
@@ -151,6 +158,11 @@ def build_run_config(args) -> evaluate.ExperimentConfig:
     for setting in config.settings:
         if setting not in (FUNCTIONAL_ONLY, ABLATION):
             raise ConfigError(f"unknown constraint setting: {setting!r}")
+    if config.jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {config.jobs}")
+    k = config.ids_hyperparams.get("knn", {}).get("k", 1)
+    if not isinstance(k, int) or k < 1:
+        raise ConfigError(f"ids.knn.k must be a positive integer, got {k!r}")
     if config.train_path is None:
         raise ConfigError("no training data path (data.train / --train)")
     return config

@@ -33,6 +33,9 @@ DEFAULT_HYPERPARAMS = {
 
 MODEL_FORMAT_VERSION = 1
 
+# Query rows per k-NN distance block (the GAN's critic batch is 128 rows).
+KNN_BLOCK_ROWS = 128
+
 
 class SingleClassData(ValueError):
     """Raised when training data contains only one class."""
@@ -214,7 +217,7 @@ class MlpClassifier(ClassifierModel):
                 grad[np.arange(len(idx)), y[idx]] -= 1.0
                 grad /= len(idx)
                 self.net.zero_grad()
-                self.net.backward(grad)
+                self.net.backward(grad, input_grad=False)
                 opt.step(self.net.parameters())
         return self
 
@@ -364,39 +367,39 @@ def _leaf_label(y):
 
 def _grow_tree(X, y, max_depth, min_leaf, feature_rng=None, features_per_split=None):
     tree = _TreeArrays()
-
-    def grow(rows, depth):
-        node = tree.add_node()
-        sub_y = y[rows]
-        if (
-            depth >= max_depth
-            or len(rows) < 2 * min_leaf
-            or sub_y.min() == sub_y.max()
-        ):
-            tree.leaf_label[node] = _leaf_label(sub_y)
-            return node
-        if feature_rng is not None:
-            feats = np.sort(
-                feature_rng.choice(X.shape[1], size=features_per_split, replace=False)
-            )
-        else:
-            feats = np.arange(X.shape[1])
-        split = _best_split(X[rows], sub_y, feats, min_leaf)
-        if split is None:
-            tree.leaf_label[node] = _leaf_label(sub_y)
-            return node
-        f, thr, _ = split
-        go_left = X[rows, f] <= thr
-        left = grow(rows[go_left], depth + 1)
-        right = grow(rows[~go_left], depth + 1)
-        tree.feature[node] = f
-        tree.threshold[node] = thr
-        tree.left[node] = left
-        tree.right[node] = right
-        return node
-
-    grow(np.arange(len(y)), 0)
+    limits = (max_depth, min_leaf, feature_rng, features_per_split)
+    _grow_node(tree, X, y, np.arange(len(y)), 0, limits)
     return tree.freeze()
+
+
+def _grow_node(tree, X, y, rows, depth, limits):
+    """Grow the subtree over ``X[rows]`` in pre-order; returns its root node.
+
+    A plain recursive function, not a closure over itself: such a closure is
+    a reference cycle that keeps ``X`` (a forest's bootstrap copy) alive
+    until the cyclic garbage collector next runs.
+    """
+    max_depth, min_leaf, feature_rng, features_per_split = limits
+    node = tree.add_node()
+    sub_y = y[rows]
+    if depth >= max_depth or len(rows) < 2 * min_leaf or sub_y.min() == sub_y.max():
+        tree.leaf_label[node] = _leaf_label(sub_y)
+        return node
+    if feature_rng is not None:
+        feats = np.sort(feature_rng.choice(X.shape[1], size=features_per_split, replace=False))
+    else:
+        feats = np.arange(X.shape[1])
+    split = _best_split(X[rows], sub_y, feats, min_leaf)
+    if split is None:
+        tree.leaf_label[node] = _leaf_label(sub_y)
+        return node
+    f, thr, _ = split
+    go_left = X[rows, f] <= thr
+    tree.left[node] = _grow_node(tree, X, y, rows[go_left], depth + 1, limits)
+    tree.right[node] = _grow_node(tree, X, y, rows[~go_left], depth + 1, limits)
+    tree.feature[node] = f
+    tree.threshold[node] = thr
+    return node
 
 
 def _tree_predict(tree, X):
@@ -531,17 +534,39 @@ class KNearestNeighbors(ClassifierModel):
         X = self._check_input(X, self.ref_X.shape[1])
         k = min(self.hyperparams["k"], len(self.ref_y))
         out = np.empty(X.shape[0], dtype=int)
-        chunk = 512
-        for start in range(0, X.shape[0], chunk):
-            q = X[start : start + chunk]
-            d2 = (q * q).sum(axis=1)[:, None] + self.ref_sq[None, :] - 2.0 * (q @ self.ref_X.T)
-            nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        cross, d2 = self._distance_block()
+        for start in range(0, X.shape[0], KNN_BLOCK_ROWS):
+            q = X[start : start + KNN_BLOCK_ROWS]
+            c, dist = cross[: len(q)], d2[: len(q)]
+            # |q|^2 + |r|^2 - 2 q.r, in that order (doubling is exact). The
+            # row-constant |q|^2 stays: dropping it changes the rounding.
+            np.matmul(q, self.ref_X.T, out=c)
+            c *= 2.0
+            np.add((q * q).sum(axis=1)[:, None], self.ref_sq[None, :], out=dist)
+            dist -= c
+            nearest = np.argpartition(dist, k - 1, axis=1)[:, :k]
             attack = self.ref_y[nearest].sum(axis=1)
             # ties go to attack
-            out[start : start + chunk] = np.where(
+            out[start : start + KNN_BLOCK_ROWS] = np.where(
                 attack * 2 >= k, LABEL_ATTACK, LABEL_NORMAL
             )
         return out
+
+    def _distance_block(self):
+        """Scratch for one block of queries: (2 q.r, squared distances).
+
+        Peak memory is set by this block, not by the number of queries. It
+        is kept between calls: faulting in fresh pages for it on every call
+        costs more than the distance arithmetic. A pickled copy of the model
+        starts without it.
+        """
+        shape = (KNN_BLOCK_ROWS, len(self.ref_y))
+        if getattr(self, "_block", None) is None or self._block[0].shape != shape:
+            self._block = (np.empty(shape), np.empty(shape))
+        return self._block
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_block"}
 
     def _arrays(self):
         return {"ref_X": self.ref_X, "ref_y": self.ref_y.astype(float)}

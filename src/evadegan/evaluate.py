@@ -354,6 +354,27 @@ _worker_run = None
 def _start_worker(inputs, config):
     global _worker_run
     _worker_run = (inputs, config)
+    # A forked worker inherits OpenBLAS's one thread per core, so N workers
+    # would oversubscribe the cores N times over.
+    set_threads = _openblas_threads("set")
+    if set_threads is not None:
+        set_threads(1)
+
+
+def _openblas_threads(verb: str):
+    """``scipy_openblas_{verb}_num_threads64_`` of numpy's BLAS, or None if it has none.
+
+    numpy's linear-algebra extension links the library, so its symbols
+    resolve through it.
+    """
+    import ctypes
+
+    fn = getattr(
+        ctypes.CDLL(np.linalg._umath_linalg.__file__), f"scipy_openblas_{verb}_num_threads64_", None
+    )
+    if fn is not None:
+        fn.argtypes, fn.restype = ([ctypes.c_int], None) if verb == "set" else ([], ctypes.c_int)
+    return fn
 
 
 def _in_worker(fn, task):

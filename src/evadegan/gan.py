@@ -141,7 +141,7 @@ def generator_step(gen, critic, optimizer, batch, mask, schema, noise) -> float:
     # No gradient through frozen positions or saturated clamps.
     gate = mask.modifiable[None, :] & (raw > 0.0) & (raw < 1.0)
     gen.zero_grad()
-    gen.backward(grad_in * gate)
+    gen.backward(grad_in * gate, input_grad=False)
     optimizer.step(gen.parameters())
     return loss
 
@@ -160,7 +160,7 @@ def critic_step(critic, optimizer, batch, pred_normal, clip_c) -> float:
     loss = float(scores[pred_normal, 0].mean() - scores[~pred_normal, 0].mean())
     upstream = np.where(pred_normal[:, None], 1.0 / n_pn, -1.0 / n_pa)
     critic.zero_grad()
-    critic.backward(upstream)
+    critic.backward(upstream, input_grad=False)
     optimizer.step(critic.parameters())
     nn.clip_network(critic, clip_c)
     return loss

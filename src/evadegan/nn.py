@@ -70,15 +70,20 @@ class LinearLayer:
         out += self.bias
         return out
 
-    def backward(self, upstream: np.ndarray, param_grads: bool = True) -> np.ndarray:
-        """Gradient w.r.t. the input; with `param_grads`, also accumulate W and b grads."""
+    def backward(
+        self, upstream: np.ndarray, param_grads: bool = True, input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Gradient w.r.t. the input (None without `input_grad`).
+
+        With `param_grads`, also accumulate W and b grads.
+        """
         if self._input is None:
             raise NoCachedForward("backward before forward")
         upstream = np.asarray(upstream, dtype=float)
         if param_grads:
             self.grad_weights += upstream.T @ self._input
             self.grad_bias += upstream.sum(axis=0)
-        return upstream @ self.weights
+        return upstream @ self.weights if input_grad else None
 
 
 def relu_forward(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -135,11 +140,15 @@ class Network:
             self._acts = acts
         return out
 
-    def backward(self, upstream: np.ndarray, param_grads: bool = True) -> np.ndarray:
-        """Returns the gradient w.r.t. the input.
+    def backward(
+        self, upstream: np.ndarray, param_grads: bool = True, input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Returns the gradient w.r.t. the input, or None without `input_grad`.
 
         With `param_grads` it also accumulates every layer's parameter
         gradients into ``grads``; without, ``grads`` is left untouched.
+        Without `input_grad` the first layer skips the product that only
+        the input gradient needs.
         """
         if self._acts is None:
             raise NoCachedForward("backward before forward")
@@ -147,7 +156,7 @@ class Network:
         for k in range(len(self.layers) - 1, -1, -1):
             if k < len(self.layers) - 1:
                 grad = grad * (self._acts[k] > 0.0)
-            grad = self.layers[k].backward(grad, param_grads)
+            grad = self.layers[k].backward(grad, param_grads, input_grad or k > 0)
         return grad
 
     def zero_grad(self) -> None:

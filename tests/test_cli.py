@@ -81,6 +81,30 @@ class TestConfigParsing:
         )
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--set", "seed=x1"),
+            ("--set", "jobs=abc"),
+            ("--jobs", "0"),
+            ("--jobs", "-2"),
+            ("--set", "ids.knn.kk=3"),
+            ("--set", "ids.svm.k=3"),
+            ("--set", "ids.knn.k=0"),
+            ("--set", "ids.knn.k=2.5"),
+        ],
+        ids=lambda flags: flags[1],
+    )
+    def test_bad_value_is_config_error(self, corpus_dir, tmp_path, capsys, flags):
+        out = tmp_path / "o"
+        code = run_cli(
+            "evaluate", "--train", str(corpus_dir / "train.txt"),
+            "--test", str(corpus_dir / "test.txt"), "--out", str(out), *flags,
+        )
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_effective_config_round_trips(self, tmp_path, corpus_dir):
         args = make_parser().parse_args(
             ["evaluate", "--train", str(corpus_dir / "train.txt"), "--seed", "3",

@@ -1,7 +1,14 @@
-"""The seven black-box detectors: contracts, oracles, determinism."""
+"""The seven black-box detectors: contracts, oracles, determinism, memory."""
+
+import gc
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from evadegan import detectors
 from evadegan.detectors import (
@@ -192,3 +199,92 @@ class TestSerialization:
         manifest = (tmp_path / "dt.manifest.json").read_text()
         assert '"algorithm": "dt"' in manifest
         assert '"seed": 13' in manifest
+
+
+def knn_labels_512(model, X):
+    """k-NN labels by the earlier formula: 512-row chunks, distances in one expression."""
+    k = min(model.hyperparams["k"], len(model.ref_y))
+    out = np.empty(X.shape[0], dtype=int)
+    for start in range(0, X.shape[0], 512):
+        q = X[start : start + 512]
+        d2 = (q * q).sum(axis=1)[:, None] + model.ref_sq[None, :] - 2.0 * (q @ model.ref_X.T)
+        nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        attack = model.ref_y[nearest].sum(axis=1)
+        out[start : start + 512] = np.where(attack * 2 >= k, LABEL_ATTACK, LABEL_NORMAL)
+    return out
+
+
+# Multiples of 1/8: every distance below is computed exactly, whatever the
+# BLAS kernel or call shape, so the labels depend only on the blocking and
+# on how ties at the k-th neighbour are broken.
+GRID = st.sampled_from([i / 8 for i in range(9)])
+
+
+@st.composite
+def knn_cases(draw):
+    d = draw(st.integers(1, 5))
+    base = draw(arrays(float, (draw(st.integers(1, 25)), d), elements=GRID))
+    base_y = draw(arrays(int, len(base), elements=st.sampled_from([LABEL_NORMAL, LABEL_ATTACK])))
+    # exact duplicates of reference rows with the opposite label
+    dup = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=10))
+    ref = np.vstack([base, base[dup]])
+    ref_y = np.concatenate([base_y, 1 - base_y[dup]])
+    extra = draw(arrays(float, (draw(st.integers(0, 10)), d), elements=GRID))
+    n_query = draw(st.integers(1, 400))  # up to several query blocks and a tail
+    queries = np.resize(np.vstack([extra, ref]), (n_query, d))
+    return ref, ref_y, queries, draw(st.integers(1, 7))
+
+
+class TestMemoryBounds:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_fit_leaves_no_cyclic_garbage(self, toy_data, algorithm):
+        """Reference counting alone frees what a fit allocates.
+
+        A reference cycle would keep, say, a forest's bootstrap copies alive
+        until the cyclic collector happens to run.
+        """
+        X, y = toy_data
+        fit(algorithm, X, y, seed=3)  # first calls may import or cache lazily
+        gc.collect()
+        gc.disable()
+        try:
+            fit(algorithm, X, y, seed=3)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0
+
+    def test_knn_predict_peak_does_not_grow_with_queries(self):
+        rng = np.random.default_rng(5)
+        n_ref = 2000
+        X, y = rng.random((n_ref, 41)), rng.integers(0, 2, n_ref)
+        peaks = {}
+        for n in (200, 2000):
+            model = fit("knn", X, y, seed=0)
+            queries = rng.random((n, 41))
+            tracemalloc.start()
+            try:
+                model.predict(queries)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        block_bytes = detectors.KNN_BLOCK_ROWS * n_ref * 8
+        assert peaks[2000] - peaks[200] <= block_bytes
+
+    def test_knn_pickle_leaves_scratch_behind(self, toy_data):
+        X, y = toy_data
+        model = fit("knn", X, y, seed=0)
+        size = len(pickle.dumps(model))
+        labels = model.predict(X)
+        assert len(pickle.dumps(model)) == size
+        assert np.array_equal(pickle.loads(pickle.dumps(model)).predict(X), labels)
+
+    @settings(max_examples=60, deadline=None)
+    @given(knn_cases())
+    def test_knn_labels_do_not_depend_on_blocking(self, case):
+        ref, ref_y, queries, k = case
+        model = fit("knn", ref, ref_y, seed=0, hyperparams={"k": k, "max_reference": 0})
+        whole = model.predict(queries)
+        singles = np.concatenate([model.predict(q[None, :]) for q in queries])
+        assert np.array_equal(whole, singles)
+        assert np.array_equal(whole, knn_labels_512(model, queries))

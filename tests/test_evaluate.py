@@ -227,6 +227,15 @@ class TestRunExperiment:
         assert pooled.report.to_csv_text() == result.report.to_csv_text()
         assert pooled.traces == result.traces
 
+    def test_pool_workers_run_one_blas_thread(self):
+        get_threads = evaluate._openblas_threads("get")
+        if get_threads is None:
+            pytest.skip("numpy's BLAS has no scipy-openblas thread control")
+        before = get_threads()
+        with evaluate._task_map(None, ExperimentConfig(jobs=2)) as task_map:
+            assert task_map(_blas_threads, range(4)) == [1, 1, 1, 1]
+        assert get_threads() == before  # the parent process keeps its setting
+
     def test_cell_error_carries_context(self, corpus_dir):
         config = ExperimentConfig(
             train_path=str(corpus_dir / "train.txt"),
@@ -238,6 +247,10 @@ class TestRunExperiment:
         )
         with pytest.raises(evaluate.ExperimentCellError, match="attack=probe"):
             run_experiment(config)
+
+
+def _blas_threads(inputs, config, task):
+    return evaluate._openblas_threads("get")()
 
 
 GOLDEN_REPORT = Path(__file__).parent / "golden" / "small_grid_report.csv"

@@ -383,3 +383,22 @@ def test_backward_without_param_grads(dims):
     assert np.array_equal(only_input, full)
     assert np.array_equal(net.grads, before)
     assert grads_after_full.any()
+
+
+@pytest.mark.parametrize("dims", PIPELINE_DIMS)
+def test_backward_without_input_grad(dims):
+    """The parameter gradients, bit for bit, and no input gradient."""
+    rng = make_rng(37)
+    net = Network(dims, rng)
+    x = rng.random((16, dims[0]))
+    upstream = rng.normal(size=(16, dims[-1]))
+    net.forward(x)
+    net.zero_grad()
+    net.backward(upstream)
+    grads_after_full = net.grads.copy()
+
+    net.forward(x)
+    net.zero_grad()
+    assert net.backward(upstream, input_grad=False) is None
+    assert np.array_equal(net.grads, grads_after_full)
+    assert grads_after_full.any()
