@@ -77,8 +77,9 @@ def main():
     critic = gan.build_critic(config, nn.make_rng(nn.derive_seed(args.seed, "critic")))
     print(f"training generator/critic for {args.epochs} epochs "
           f"(batch {config.batch_size}, lr {config.lr_g}, clip {config.clip_c})")
-    history = gan.train(generator, critic, ids_model,
-                        gan.TrainData(normals, attacks), mask, schema, config)
+    # the normals never change, so the detector labels them once, up front
+    data = gan.TrainData(normals, ids_model.predict(normals), attacks)
+    history = gan.train(generator, critic, ids_model, data, mask, schema, config)
 
     for h in history[:: max(1, len(history) // 10)]:
         # loss_d is nan in epochs where every critic batch came back with a

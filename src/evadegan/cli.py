@@ -286,9 +286,10 @@ def cmd_train_gan(config: evaluate.ExperimentConfig) -> int:
 
     for algorithm, model_path in model_paths.items():
         ids_model = detectors.load_model(model_path)
+        normal_labels = evaluate.label_normals(ids_model, normals, schema.fingerprint())
         for attack in config.attacks:
             attacks = gan_X[gan_half.is_in(evaluate.ATTACK_GROUPS[attack])]
-            data = gan.TrainData(normals=normals, attacks=attacks)
+            data = gan.TrainData(normals=normals, normal_labels=normal_labels, attacks=attacks)
             for setting in config.settings:
                 cell = evaluate.train_cell_gan(
                     config, algorithm, attack, setting, ids_model, data, schema

@@ -2,8 +2,15 @@
 
 Every model is trained from scratch on encoded [0,1] vectors with binary
 labels (0 = normal, 1 = attack), is deterministic under a fixed seed, and
-predicts record-by-record (batch composition never changes a prediction).
-Vote ties break toward "attack": the conservative call for a detector.
+labels a record from that record alone, up to rounding. The models built on
+matrix products (svm, mlp, lr, k-NN) compute scores whose last bits depend
+on the shape of the product call, so a record within rounding of a
+decision boundary (for k-NN, a near-tie at the k-th neighbour) can change
+label with the rows batched around it. Reproducible runs therefore rest on
+fixed call shapes, not on batch independence: k-NN always works through
+blocks of KNN_BLOCK_ROWS query rows, and a run labels its generator-half
+normals in one call per detector. Vote ties break toward "attack": the
+conservative call for a detector.
 """
 
 from __future__ import annotations

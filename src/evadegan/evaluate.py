@@ -187,6 +187,8 @@ class FittedDetector:
     model: detectors.ClassifierModel
     # attack group -> the detector's labels for that group's test records
     original_predictions: dict
+    # the detector's labels for the generator-half normals (gan.TrainData)
+    normal_labels: np.ndarray
 
 
 def detector_labels(records: Records) -> np.ndarray:
@@ -260,8 +262,18 @@ def train_cell_gan(
     return CellGan(mask=mask, generator=generator, critic=critic, history=history)
 
 
+def label_normals(model: detectors.ClassifierModel, normals, fingerprint: str) -> np.ndarray:
+    """The detector's labels for the generator-half normals, made in one call.
+
+    Every cell of the algorithm trains on these rows, so ``gan.train`` takes
+    their labels from here and queries the detector only about its
+    adversarial rows.
+    """
+    return detectors.predict(model, normals, fingerprint)
+
+
 def fit_detector(inputs: _GridInputs, config: ExperimentConfig, algorithm: str) -> FittedDetector:
-    """Train `algorithm` on the detector half and label each requested test group."""
+    """Train `algorithm` on the detector half, label each requested test group and the normals."""
     try:
         for attack in config.attacks:
             if len(inputs.test_attacks[attack]) == 0:
@@ -278,7 +290,11 @@ def fit_detector(inputs: _GridInputs, config: ExperimentConfig, algorithm: str) 
             attack: detectors.predict(model, inputs.test_attacks[attack], inputs.fingerprint)
             for attack in config.attacks
         }
-        return FittedDetector(model=model, original_predictions=original)
+        return FittedDetector(
+            model=model,
+            original_predictions=original,
+            normal_labels=label_normals(model, inputs.gan_normals, inputs.fingerprint),
+        )
     except Exception as exc:
         raise ExperimentCellError(f"detector (algorithm={algorithm}): {exc}", exc) from exc
 
@@ -302,7 +318,11 @@ def run_cell(
         n_detected_original = int((original_pred == detectors.LABEL_ATTACK).sum())
         original_dr = detection_rate(original_pred)
 
-        data = gan.TrainData(normals=inputs.gan_normals, attacks=inputs.gan_attacks[attack])
+        data = gan.TrainData(
+            normals=inputs.gan_normals,
+            normal_labels=detector.normal_labels,
+            attacks=inputs.gan_attacks[attack],
+        )
         trained = train_cell_gan(
             config, algorithm, attack, setting, detector.model, data, inputs.schema
         )

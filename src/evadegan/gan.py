@@ -69,9 +69,15 @@ class EpochStats:
 
 @dataclass
 class TrainData:
-    """Encoded generator-half traffic: normal records plus one attack group."""
+    """Encoded generator-half traffic: normal records plus one attack group.
+
+    ``normal_labels`` holds the detector's label for each normal record.
+    The normals never change during training, so they are labelled once,
+    outside the loop.
+    """
 
     normals: np.ndarray
+    normal_labels: np.ndarray
     attacks: np.ndarray
 
 
@@ -180,8 +186,9 @@ def train(
     Each outer iteration runs ``g_steps`` generator updates followed by
     ``d_steps`` critic updates. Critic batches mix normal traffic with
     freshly generated adversarial traffic and are partitioned by the
-    detector's own predictions, never by ground truth. Critic parameters
-    are clipped to ``[-clip_c, clip_c]`` after every critic step.
+    detector's own predictions, never by ground truth: the normals by
+    ``data.normal_labels``, the adversarial rows by a query. Critic
+    parameters are clipped to ``[-clip_c, clip_c]`` after every critic step.
 
     Returns one EpochStats per epoch (generator loss, critic loss, and the
     detection rate on a held-out probe slice of the training attacks).
@@ -199,6 +206,9 @@ def train(
 
     attacks = np.asarray(data.attacks, dtype=float)
     normals = np.asarray(data.normals, dtype=float)
+    normal_labels = np.asarray(data.normal_labels)
+    if normal_labels.shape != (len(normals),):
+        raise ValueError("normal_labels must hold one label per normal record")
 
     # Hold out a probe slice from the training attacks for epoch monitoring.
     probe_n = min(config.probe_size, len(attacks) // 5)
@@ -225,16 +235,14 @@ def train(
 
             for _ in range(config.d_steps):
                 norm_idx = normal_rng.integers(0, len(normals), size=n_batch)
-                norm_batch = normals[norm_idx]
                 noise = noise_rng.random((n_batch, noise_dim))
                 _, adv_cont, adv_disc = _adversarial_forward(
                     gen, batch, mask, schema, noise
                 )
-                # The detector sees well-formed records: normals as encoded,
-                # adversarial rows in their discrete form.
-                ids_view = np.vstack([norm_batch, adv_disc])
-                critic_view = np.vstack([norm_batch, adv_cont])
-                labels = ids_model.predict(ids_view)
+                # Only the adversarial rows are new to the detector, which
+                # sees them in their discrete form.
+                labels = np.concatenate([normal_labels[norm_idx], ids_model.predict(adv_disc)])
+                critic_view = np.vstack([normals[norm_idx], adv_cont])
                 pred_normal = labels == detectors.LABEL_NORMAL
                 try:
                     d_losses.append(

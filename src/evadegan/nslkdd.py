@@ -180,23 +180,37 @@ class Records:
     """Parsed NSL-KDD rows in file order, one array per column group.
 
     ``values`` is (n, 41) float64: every numeric and binary feature in its
-    column, 0 in the symbolic columns. ``tokens`` is (n, 3): the stripped
-    symbolic tokens in feature order. ``category`` holds positions in
-    CATEGORIES; ``difficulty`` is int64.
+    column, 0 in the symbolic columns. The symbolic features are coded once
+    at load: ``token_vocabs`` holds, per symbolic feature in feature order,
+    the sorted distinct stripped tokens of the whole file, and
+    ``token_codes`` (n, 3) each row's positions in them. ``category`` holds
+    positions in CATEGORIES; ``difficulty`` is int64.
     """
 
     values: np.ndarray
-    tokens: np.ndarray
+    token_codes: np.ndarray
+    token_vocabs: tuple
     category: np.ndarray
     difficulty: np.ndarray
 
     def __len__(self) -> int:
         return len(self.category)
 
+    @property
+    def tokens(self) -> np.ndarray:
+        """(n, 3) stripped symbolic tokens in feature order."""
+        return np.stack(
+            [vocab[self.token_codes[:, j]] for j, vocab in enumerate(self.token_vocabs)], axis=1
+        )
+
     def take(self, index) -> "Records":
         """The rows at `index` (index array or boolean mask), in that order."""
         return Records(
-            self.values[index], self.tokens[index], self.category[index], self.difficulty[index]
+            self.values[index],
+            self.token_codes[index],
+            self.token_vocabs,
+            self.category[index],
+            self.difficulty[index],
         )
 
     def is_in(self, categories) -> np.ndarray:
@@ -212,40 +226,48 @@ def map_attack(attack_name: str) -> AttackCategory:
         raise UnknownAttack(f"attack name not in taxonomy: {attack_name!r}") from None
 
 
-# One parsed row: the numeric and binary features, then the difficulty.
-_ROW_DTYPE = np.dtype([("features", np.float64, (len(NUMERIC_INDICES),)), ("difficulty", np.int64)])
-# Read as text: the symbolic features, then the label.
+# One row in file-column order: the features before the (adjacent) symbolic
+# ones, the symbolic tokens, the features after them, the label and the
+# difficulty. A text field that fills _TOKEN_WIDTH may have been cut short,
+# and the text columns are then read again at their full width; the longest
+# NSL-KDD token, buffer_overflow, has 15 characters.
+_TOKEN_WIDTH = 16
+_FIRST_SYMBOLIC = SYMBOLIC_INDICES[0]
+_ROW_DTYPE = np.dtype(
+    [
+        ("head", np.float64, (_FIRST_SYMBOLIC,)),
+        ("symbolic", f"U{_TOKEN_WIDTH}", (len(SYMBOLIC_INDICES),)),
+        ("tail", np.float64, (N_FEATURES - _FIRST_SYMBOLIC - len(SYMBOLIC_INDICES),)),
+        ("label", f"U{_TOKEN_WIDTH}"),
+        ("difficulty", np.int64),
+    ]
+)
+# The text columns: the symbolic features, then the label.
 _TEXT_COLUMNS = (*SYMBOLIC_INDICES, N_FEATURES)
+_READ = dict(delimiter=",", comments=None, encoding="utf-8")
 _SU_ATTEMPTED = FEATURE_INDEX["su_attempted"]
 _ROW_ERRORS = (MalformedRecord, UnknownAttack)
 
 
-def _parse(text: str) -> Records:
+def _empty_records() -> Records:
+    none = np.zeros(0, dtype=np.int64)
+    vocabs = (np.zeros(0, dtype=str),) * len(SYMBOLIC_INDICES)
+    codes = np.zeros((0, len(SYMBOLIC_INDICES)), dtype=np.intp)
+    return Records(np.zeros((0, N_FEATURES)), codes, vocabs, none, none)
+
+
+def _parse(data: bytes) -> Records:
     """Parse and validate newline-separated rows; errors name no line."""
-    if not text.strip():
-        none = np.zeros(0, dtype=np.int64)
-        return Records(np.zeros((0, N_FEATURES)), np.zeros((0, 3), dtype=str), none, none)
-    read = dict(delimiter=",", comments=None)
+    if not data or data.isspace():
+        return _empty_records()
     try:
-        rows = np.loadtxt(
-            io.StringIO(text), usecols=(*NUMERIC_INDICES, N_FEATURES + 1), dtype=_ROW_DTYPE,
-            ndmin=1, **read,
-        )
-        fields = np.char.strip(
-            np.loadtxt(io.StringIO(text), usecols=_TEXT_COLUMNS, dtype=str, ndmin=2, **read)
-        )
+        # Every row must have exactly as many fields as the dtype.
+        rows = np.loadtxt(io.BytesIO(data), dtype=_ROW_DTYPE, ndmin=1, **_READ)
     except ValueError as exc:
         raise MalformedRecord(re.sub(r"at row \d+, ", "in ", str(exc))) from None
-    # loadtxt demands the columns it reads but ignores any past the last one.
-    if text.count(",") != (N_FEATURES + 1) * len(rows):
-        raise MalformedRecord(f"expected {N_FEATURES + 2} fields per row")
 
-    # The symbolic columns are adjacent: slices copy around them several
-    # times faster than a fancy-indexed column assignment.
-    numeric, first = rows["features"], SYMBOLIC_INDICES[0]
-    values = np.concatenate(
-        [numeric[:, :first], np.zeros((len(rows), len(SYMBOLIC_INDICES))), numeric[:, first:]], axis=1
-    )
+    gap = np.zeros((len(rows), len(SYMBOLIC_INDICES)))
+    values = np.concatenate([rows["head"], gap, rows["tail"]], axis=1)
     su_attempted = values[:, _SU_ATTEMPTED]
     su_attempted[su_attempted == 2.0] = 0.0
     valid = np.isfinite(values) & (values >= 0.0)
@@ -256,26 +278,47 @@ def _parse(text: str) -> Records:
         rule = "0 or 1" if col in BINARY_INDICES else "a finite number >= 0"
         raise MalformedRecord(f"{FEATURE_NAMES[col]} must be {rule}, got {float(values[row, col])!r}")
 
-    labels, inverse = np.unique(fields[:, -1], return_inverse=True)
-    codes = np.array([CATEGORIES.index(map_attack(name)) for name in labels.tolist()], dtype=np.int64)
-    return Records(values, fields[:, :-1].copy(), codes[inverse], rows["difficulty"].copy())
+    # Each text column is sorted once, here; every later step works on codes.
+    distinct = [np.unique(c, return_inverse=True) for c in (*rows["symbolic"].T, rows["label"])]
+    if any(np.char.str_len(raw).max() >= _TOKEN_WIDTH for raw, _ in distinct):
+        wide = np.loadtxt(io.BytesIO(data), usecols=_TEXT_COLUMNS, dtype=str, ndmin=2, **_READ)
+        distinct = [np.unique(c, return_inverse=True) for c in wide.T]
+    coded = []
+    for raw, inverse in distinct:
+        tokens, merged = np.unique(np.char.strip(raw), return_inverse=True)
+        coded.append((tokens, merged[inverse]))
+    *symbolic, (labels, label_codes) = coded
+    category = np.array([CATEGORIES.index(map_attack(n)) for n in labels.tolist()], dtype=np.int64)
+    return Records(
+        values,
+        np.stack([codes for _, codes in symbolic], axis=1),
+        tuple(tokens for tokens, _ in symbolic),
+        category[label_codes],
+        rows["difficulty"].copy(),
+    )
 
 
 def load_file(path) -> Records:
     """Read and validate an NSL-KDD text file; errors carry the 1-based line number."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    data = Path(path).read_bytes()
+    # As a UTF-8 text-mode read: invalid UTF-8 fails here, and \r\n or a
+    # lone \r ends a line.
+    if not data.isascii():
+        data.decode("utf-8")
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     # loadtxt warns on empty lines and rejects whitespace-only ones, so a
     # file with either is parsed below, where blank lines are dropped.
-    if "\n\n" not in text and not text.startswith("\n"):
+    if b"\n\n" not in data and not data.startswith(b"\n"):
         try:
-            return _parse(text)
+            return _parse(data)
         except _ROW_ERRORS:
             pass
+    text = data.decode("utf-8")
     lines = [(lineno, line) for lineno, line in enumerate(text.split("\n"), 1) if line.strip()]
 
     def parse_lines(lo, hi):
-        return _parse("\n".join(line for _, line in lines[lo:hi]))
+        return _parse("\n".join(line for _, line in lines[lo:hi]).encode("utf-8"))
 
     try:
         return parse_lines(0, len(lines))
@@ -386,15 +429,17 @@ def _raw_matrix(records: Records, schema: FeatureSchema, clamp: bool) -> np.ndar
     raw = records.values.copy()
     for j, i in enumerate(SYMBOLIC_INDICES):
         vocab = schema.vocabs[i]
-        tokens, inverse = np.unique(records.tokens[:, j], return_inverse=True)
+        tokens = records.token_vocabs[j]
         position = {token: k for k, token in enumerate(vocab, 1)}
         # Unknown tokens sit one past the known vocabulary, so the range
         # clamp pins them to the top of the train range.
-        codes = np.array([position.get(t, len(vocab) + 1) for t in tokens.tolist()], dtype=float)
-        unknown = codes > len(vocab)
-        if unknown.any() and not clamp:
-            raise UnknownToken(f"{FEATURE_NAMES[i]}: token {tokens[unknown][0]!r} not in vocabulary")
-        raw[:, i] = codes[inverse]
+        lookup = np.array([position.get(t, len(vocab) + 1) for t in tokens.tolist()], dtype=float)
+        column = lookup[records.token_codes[:, j]]
+        unknown = column > len(vocab)
+        if not clamp and unknown.any():
+            first = records.token_codes[unknown, j].min()
+            raise UnknownToken(f"{FEATURE_NAMES[i]}: token {tokens[first]!r} not in vocabulary")
+        raw[:, i] = column
     return raw
 
 
@@ -404,9 +449,10 @@ def build_schema(train: Records) -> FeatureSchema:
         raise EmptyDataset("no training records")
     vocabs = {}
     for j, i in enumerate(SYMBOLIC_INDICES):
-        tokens, first = np.unique(train.tokens[:, j], return_index=True)
+        present, first = np.unique(train.token_codes[:, j], return_index=True)
+        tokens = train.token_vocabs[j][present[np.argsort(first)]].tolist()
         seed = PROTOCOL_SEED if FEATURE_NAMES[i] == "protocol_type" else ()
-        vocabs[i] = list(seed) + [t for t in tokens[np.argsort(first)].tolist() if t not in seed]
+        vocabs[i] = list(seed) + [t for t in tokens if t not in seed]
 
     schema = FeatureSchema(vocabs=vocabs)
     raw = _raw_matrix(train, schema, clamp=False)

@@ -151,8 +151,8 @@ def trained_generators(corpus_dir):
         config = gan.TrainConfig(epochs=8, seed=13, probe_size=32)
         generator = gan.build_generator(config, nn.make_rng(nn.derive_seed(13, attack, "g")))
         critic = gan.build_critic(config, nn.make_rng(nn.derive_seed(13, attack, "c")))
-        gan.train(generator, critic, ids_model, gan.TrainData(normals, attacks),
-                  mask, schema, config)
+        data = gan.TrainData(normals, ids_model.predict(normals), attacks)
+        gan.train(generator, critic, ids_model, data, mask, schema, config)
         out[attack] = (generator, mask, attacks)
     return schema, out
 

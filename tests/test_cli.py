@@ -261,21 +261,23 @@ class TestStagedTraining:
         assert "lr" in err and staged["schema_fingerprint"] in err and current in err
         assert not (out / "gan").exists()
 
-    def test_staged_cells_reproduce_evaluate(self, corpus_dir, tmp_path):
+    @pytest.mark.parametrize("algorithm", ["lr", "knn"])
+    def test_staged_cells_reproduce_evaluate(self, corpus_dir, tmp_path, algorithm):
         staged, graded = tmp_path / "staged", tmp_path / "graded"
         data = ["--train", str(corpus_dir / "train.txt"), "--seed", "5", *FAST_GAN]
         for command in ("prepare", "train-ids", "train-gan"):
-            assert run_cli(command, *data, "--out", str(staged), "--ids", "lr") == EXIT_OK
+            assert run_cli(command, *data, "--out", str(staged), "--ids", algorithm) == EXIT_OK
         code = run_cli(
             "evaluate", *data, "--test", str(corpus_dir / "test.txt"),
-            "--out", str(graded), "--ids", "lr",
+            "--out", str(graded), "--ids", algorithm,
         )
         assert code == EXIT_OK
         assert (staged / "schema.txt").read_bytes() == (graded / "schema.txt").read_bytes()
-        for cell in ("lr_dos_functional_only", "lr_dos_ablation",
-                     "lr_u2r_r2l_functional_only", "lr_u2r_r2l_ablation"):
-            trace = (staged / "gan" / cell / "trace.csv").read_bytes()
-            assert trace == (graded / "traces" / f"{cell}.csv").read_bytes(), cell
+        for attack in ("dos", "u2r_r2l"):
+            for setting in ("functional_only", "ablation"):
+                cell = f"{algorithm}_{attack}_{setting}"
+                trace = (staged / "gan" / cell / "trace.csv").read_bytes()
+                assert trace == (graded / "traces" / f"{cell}.csv").read_bytes(), cell
 
 
 class TestEvaluate:

@@ -226,6 +226,11 @@ class TestRunExperiment:
         pooled = run_experiment(dataclasses.replace(config, jobs=2))
         assert pooled.report.to_csv_text() == result.report.to_csv_text()
         assert pooled.traces == result.traces
+        # k-NN's labels rest on fixed call shapes, which the pool must keep
+        knn = dataclasses.replace(config, algorithms=("knn",))
+        serial, pooled = run_experiment(knn), run_experiment(dataclasses.replace(knn, jobs=2))
+        assert pooled.report.to_csv_text() == serial.report.to_csv_text()
+        assert pooled.traces == serial.traces
 
     def test_pool_workers_run_one_blas_thread(self):
         get_threads = evaluate._openblas_threads("get")

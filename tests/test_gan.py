@@ -46,6 +46,25 @@ def dos_setup(encoded, schema):
     return normals, attacks, mask, ids_model
 
 
+@pytest.fixture()
+def dos_data(dos_setup):
+    """dos_setup's traffic, its normals labelled by its detector once, as evaluate does."""
+    normals, attacks, _, ids_model = dos_setup
+    return TrainData(normals, ids_model.predict(normals), attacks)
+
+
+class RecordingDetector:
+    """A detector that keeps a copy of every batch it is asked to label."""
+
+    def __init__(self, model):
+        self.model = model
+        self.queries = []
+
+    def predict(self, X):
+        self.queries.append(np.array(X, copy=True))
+        return self.model.predict(X)
+
+
 def critic_loss(critic, normal, attack) -> float:
     """The loss critic_step returns on predicted-normal rows, then predicted-attack rows."""
     pred_normal = np.arange(len(normal) + len(attack)) < len(normal)
@@ -214,28 +233,26 @@ class TestTrain:
         defaults.update(kw)
         return TrainConfig(**defaults)
 
-    def test_zero_epochs_leaves_networks_unchanged(self, dos_setup, schema):
+    def test_zero_epochs_leaves_networks_unchanged(self, dos_setup, dos_data, schema):
         normals, attacks, mask, ids_model = dos_setup
         config = self.small_config(epochs=0)
         gen = build_generator(config, nn.make_rng(40))
         critic = build_critic(config, nn.make_rng(41))
         g_before = {k: v.copy() for k, v in gen.param_arrays().items()}
         c_before = {k: v.copy() for k, v in critic.param_arrays().items()}
-        history = train(gen, critic, ids_model, TrainData(normals, attacks), mask, schema, config)
+        history = train(gen, critic, ids_model, dos_data, mask, schema, config)
         assert history == []
         assert all(np.array_equal(g_before[k], gen.param_arrays()[k]) for k in g_before)
         assert all(np.array_equal(c_before[k], critic.param_arrays()[k]) for k in c_before)
 
-    def test_same_seed_identical_traces(self, dos_setup, schema):
+    def test_same_seed_identical_traces(self, dos_setup, dos_data, schema):
         normals, attacks, mask, ids_model = dos_setup
 
         def run():
             config = self.small_config()
             gen = build_generator(config, nn.make_rng(42))
             critic = build_critic(config, nn.make_rng(43))
-            history = train(
-                gen, critic, ids_model, TrainData(normals, attacks), mask, schema, config
-            )
+            history = train(gen, critic, ids_model, dos_data, mask, schema, config)
             return history, gen.param_arrays()
 
         h1, p1 = run()
@@ -243,52 +260,87 @@ class TestTrain:
         assert h1 == h2
         assert all(np.array_equal(p1[k], p2[k]) for k in p1)
 
-    def test_critic_clipped_after_training(self, dos_setup, schema):
+    def test_critic_clipped_after_training(self, dos_setup, dos_data, schema):
         normals, attacks, mask, ids_model = dos_setup
         config = self.small_config()
         gen = build_generator(config, nn.make_rng(44))
         critic = build_critic(config, nn.make_rng(45))
-        train(gen, critic, ids_model, TrainData(normals, attacks), mask, schema, config)
+        train(gen, critic, ids_model, dos_data, mask, schema, config)
         assert nn.max_abs_param(critic) <= config.clip_c + 1e-15
 
-    def test_adversarial_outputs_respect_mask_after_training(self, dos_setup, schema):
+    def test_adversarial_outputs_respect_mask_after_training(self, dos_setup, dos_data, schema):
         normals, attacks, mask, ids_model = dos_setup
         config = self.small_config()
         gen = build_generator(config, nn.make_rng(46))
         critic = build_critic(config, nn.make_rng(47))
-        train(gen, critic, ids_model, TrainData(normals, attacks), mask, schema, config)
+        train(gen, critic, ids_model, dos_data, mask, schema, config)
         sample = attacks[:100]
         cont, disc = generate(gen, sample, mask, schema, nn.make_rng(48))
         frozen = ~mask.modifiable
         assert np.array_equal(cont[:, frozen], sample[:, frozen])
         assert np.array_equal(disc[:, frozen], sample[:, frozen])
 
-    def test_detection_rate_drops(self, dos_setup, schema):
+    def test_detection_rate_drops(self, dos_setup, dos_data, schema):
         normals, attacks, mask, ids_model = dos_setup
         orig_dr = float((ids_model.predict(attacks) == detectors.LABEL_ATTACK).mean())
         config = self.small_config(epochs=40)
         gen = build_generator(config, nn.make_rng(49))
         critic = build_critic(config, nn.make_rng(50))
-        train(gen, critic, ids_model, TrainData(normals, attacks), mask, schema, config)
+        train(gen, critic, ids_model, dos_data, mask, schema, config)
         _, disc = generate(gen, attacks, mask, schema, nn.make_rng(51))
         adv_dr = float((ids_model.predict(disc) == detectors.LABEL_ATTACK).mean())
         assert orig_dr > 0.9  # sanity: the detector does catch raw attacks
         assert adv_dr <= 0.05
 
-    def test_divergence_detected(self, dos_setup, schema):
+    def test_divergence_detected(self, dos_setup, dos_data, schema):
         normals, attacks, mask, ids_model = dos_setup
         config = self.small_config(epochs=2, lr_g=1e160)
         gen = build_generator(config, nn.make_rng(52))
         critic = build_critic(config, nn.make_rng(53))
         with pytest.raises(TrainingDiverged), np.errstate(all="ignore"):
-            train(gen, critic, ids_model, TrainData(normals, attacks), mask, schema, config)
+            train(gen, critic, ids_model, dos_data, mask, schema, config)
 
-    def test_trace_csv_round_trip(self, dos_setup, schema, tmp_path):
+    def test_d_steps_query_only_the_adversarial_rows(self, dos_setup, dos_data, schema, monkeypatch):
+        normals, attacks, mask, ids_model = dos_setup
+        discrete = []  # every discrete adversarial batch gan.train makes, in order
+        real_forward = gan._adversarial_forward
+
+        def recording_forward(*args, **kwargs):
+            out = real_forward(*args, **kwargs)
+            discrete.append(out[2].copy())
+            return out
+
+        monkeypatch.setattr(gan, "_adversarial_forward", recording_forward)
+        detector = RecordingDetector(ids_model)
+        config = self.small_config(epochs=2)
+        gen = build_generator(config, nn.make_rng(56))
+        critic = build_critic(config, nn.make_rng(57))
+        train(gen, critic, detector, dos_data, mask, schema, config)
+
+        # each epoch: one query per d-step (one per batch), then the probe's
+        probe_n = min(config.probe_size, len(attacks) // 5)
+        n_train = len(attacks) - probe_n
+        epoch = [min(config.batch_size, n_train - s) for s in range(0, n_train, config.batch_size)]
+        assert [len(q) for q in detector.queries] == (epoch + [probe_n]) * config.epochs
+        assert len(discrete) == len(detector.queries)
+        for asked, adversarial in zip(detector.queries, discrete):
+            assert np.array_equal(asked, adversarial)
+
+    def test_normal_labels_must_match_normals(self, dos_setup, schema):
+        normals, attacks, mask, ids_model = dos_setup
+        config = self.small_config(epochs=1)
+        data = TrainData(normals, ids_model.predict(normals)[:-1], attacks)
+        gen = build_generator(config, nn.make_rng(58))
+        critic = build_critic(config, nn.make_rng(59))
+        with pytest.raises(ValueError, match="one label per normal"):
+            train(gen, critic, ids_model, data, mask, schema, config)
+
+    def test_trace_csv_round_trip(self, dos_setup, dos_data, schema, tmp_path):
         normals, attacks, mask, ids_model = dos_setup
         config = self.small_config(epochs=2)
         gen = build_generator(config, nn.make_rng(54))
         critic = build_critic(config, nn.make_rng(55))
-        history = train(gen, critic, ids_model, TrainData(normals, attacks), mask, schema, config)
+        history = train(gen, critic, ids_model, dos_data, mask, schema, config)
         gan.write_trace_csv(tmp_path / "trace.csv", history)
         lines = (tmp_path / "trace.csv").read_text().strip().splitlines()
         assert lines[0] == "epoch,loss_g,loss_d,probe_adv_dr"

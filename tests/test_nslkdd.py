@@ -56,6 +56,37 @@ def load_rows(directory, rows):
     return load_file(path)
 
 
+def reference_parse(path):
+    """Line by line with Python's own parsers: the oracle for load_file on valid rows.
+
+    Returns (values, tokens, categories, difficulties) as lists.
+    """
+    values, tokens, categories, difficulties = [], [], [], []
+    with open(path, encoding="utf-8") as fh:  # universal newlines, as a text read
+        lines = [line for line in fh.read().split("\n") if line.strip()]
+    for line in lines:
+        fields = line.split(",")
+        row = [0.0] * 41
+        for i in NUMERIC_INDICES:
+            row[i] = float(fields[i])
+            if FEATURE_NAMES[i] == "su_attempted" and row[i] == 2.0:
+                row[i] = 0.0
+        values.append(row)
+        tokens.append([fields[i].strip() for i in SYMBOLIC_INDICES])
+        categories.append(map_attack(fields[41]))
+        difficulties.append(int(fields[42]))
+    return values, tokens, categories, difficulties
+
+
+def assert_matches_reference(records, path):
+    values, tokens, categories, difficulties = reference_parse(path)
+    assert len(records) == len(values)
+    assert np.array_equal(records.values, np.array(values).reshape(-1, 41))
+    assert records.tokens.tolist() == tokens
+    assert [CATEGORIES[c] for c in records.category] == categories
+    assert records.difficulty.tolist() == difficulties
+
+
 class TestParseRecord:
     def test_real_format_row(self, tmp_path):
         rec = load_rows(tmp_path, [HTTP_ROW])
@@ -125,6 +156,16 @@ class TestValidation:
         with pytest.raises(MalformedRecord, match=r"\(line 6\)"):
             load_rows(tmp_path, rows + [with_field("dst_bytes", "nan")])
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_carriage_returns_end_lines(self, tmp_path, newline):
+        rows = [make_row(), "", make_row(label="neptune"), with_field("dst_bytes", "nan")]
+        path = tmp_path / "rows.txt"
+        path.write_bytes(newline.join(rows[:3]).encode())
+        assert load_file(path).is_in((AttackCategory.DOS,)).tolist() == [False, True]
+        path.write_bytes(newline.join(rows).encode())
+        with pytest.raises(MalformedRecord, match=r"\(line 4\)"):
+            load_file(path)
+
     def test_tokens_and_fields_stripped(self, tmp_path):
         row = make_row().replace("tcp,http,SF", " udp , ftp ,S0 ").replace("normal,21", "normal, 21")
         rec = load_rows(tmp_path, [with_field("duration", " 7 ", row)])
@@ -138,18 +179,7 @@ class TestValidation:
         assert rec.values.shape == (0, 41)
 
     def test_matches_line_by_line_reference(self, corpus_dir, train_records):
-        lines = (corpus_dir / "train.txt").read_text().splitlines()
-        assert len(train_records) == len(lines)
-        for r, line in enumerate(lines):
-            fields = line.split(",")
-            for i in NUMERIC_INDICES:
-                value = float(fields[i])
-                if FEATURE_NAMES[i] == "su_attempted" and value == 2.0:
-                    value = 0.0
-                assert train_records.values[r, i] == value
-            assert train_records.tokens[r].tolist() == [fields[i] for i in SYMBOLIC_INDICES]
-            assert CATEGORIES[train_records.category[r]] == map_attack(fields[41])
-            assert train_records.difficulty[r] == int(fields[42])
+        assert_matches_reference(train_records, corpus_dir / "train.txt")
 
 
 class TestMapAttack:
@@ -431,6 +461,27 @@ def valid_rows(draw, max_rows=10):
     return rows
 
 
+# Padding a field must not change what it parses to.
+_PAD = st.text(alphabet=" \t", max_size=3)
+# Symbolic tokens of every length, up to well past the parse width.
+_LONG_TOKENS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=60)
+
+
+@st.composite
+def padded_rows(draw, max_rows=8):
+    """Valid rows with padded fields, su_attempted 2 and tokens of any length."""
+    rows = draw(valid_rows(max_rows))
+    out = []
+    for row in rows:
+        fields = row.split(",")
+        for i in SYMBOLIC_INDICES:
+            fields[i] = draw(st.one_of(st.sampled_from(_TOKENS), _LONG_TOKENS))
+        if draw(st.booleans()):
+            fields[nslkdd.FEATURE_INDEX["su_attempted"]] = "2"
+        out.append(",".join(draw(_PAD) + f + draw(_PAD) for f in fields))
+    return out
+
+
 _PROPERTY_SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -467,6 +518,22 @@ train=valid_rows(), other=valid_rows())
         assert np.isin(X[:, BINARY_INDICES], (0.0, 1.0)).all()
 
     @_PROPERTY_SETTINGS
+    @given(rows=padded_rows(), newline=st.sampled_from(["\n", "\r\n"]), final=st.booleans())
+    def test_one_pass_parse_matches_line_by_line_reference(self, scratch_dir, rows, newline, final):
+        path = scratch_dir / "padded.txt"
+        path.write_bytes((newline.join(rows) + (newline if final else "")).encode("utf-8"))
+        assert_matches_reference(load_file(path), path)
+
+    def test_tokens_past_the_parse_width_come_back_whole(self, tmp_path):
+        service, label = "s" * 54, " buffer_overflow" + " " * 20
+        rows = [make_row().replace("http", service), make_row(label=label), make_row()]
+        rec = load_rows(tmp_path, rows)
+        assert rec.tokens[:, 1].tolist() == [service, "http", "http"]
+        assert rec.is_in((AttackCategory.U2R,)).tolist() == [False, True, False]
+        with pytest.raises(UnknownAttack, match=r"\(line 2\)"):
+            load_rows(tmp_path, [make_row(), make_row(label="buffer_overflow" + "x" * 30)])
+
+    @_PROPERTY_SETTINGS
     @given(
         codes=st.lists(st.integers(0, len(CATEGORIES) - 1), max_size=60),
         seed=st.integers(0, 2**32),
@@ -474,8 +541,8 @@ train=valid_rows(), other=valid_rows())
     def test_split_halves_partition_rows(self, codes, seed):
         n = len(codes)
         records = Records(
-            np.zeros((n, 41)), np.zeros((n, 3), dtype=str), np.array(codes, dtype=np.intp),
-            np.zeros(n, dtype=np.int64),
+            np.zeros((n, 41)), np.zeros((n, 3), dtype=np.intp), (np.array(["x"]),) * 3,
+            np.array(codes, dtype=np.intp), np.zeros(n, dtype=np.int64),
         )
         a, b = split_indices(records, seed)
         assert sorted(np.concatenate([a, b]).tolist()) == list(range(n))
