@@ -16,7 +16,8 @@ carries the end-to-end metrics named there.
 For every end-to-end metric the output gives each pair's two values, each
 side's median and quartiles, how many pairs the change won (by the metric's
 ``better`` direction) and the relative change of the medians, with the
-machine's core count, Python, numpy, BLAS and BLAS thread variables.
+machine's core count, Python, numpy, BLAS, the OpenBLAS kernel and thread
+count, and the BLAS thread variables.
 ``change_commit`` is the working tree's HEAD and ``change_dirty`` says
 whether tracked files differ from it.
 """
@@ -24,6 +25,7 @@ whether tracked files differ from it.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import io
 import json
 import os
@@ -60,14 +62,30 @@ def export_revision(rev: str, dest: Path) -> str:
 
 def environment() -> dict:
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    # numpy's linear-algebra extension links its BLAS, so OpenBLAS's own
+    # queries resolve through it; each field is None where they are missing.
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     return {
         "nproc": os.cpu_count(),
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
+        "blas_core": _call_first(lib, "get_corename", ctypes.c_char_p),
+        "blas_threads": _call_first(lib, "get_num_threads", ctypes.c_int),
         "threads": {var: os.environ.get(var) for var in THREAD_VARS},
     }
+
+
+def _call_first(lib, query: str, restype):
+    """The first of OpenBLAS's spellings of ``query`` that `lib` exports, called."""
+    for name in (f"scipy_openblas_{query}64_", f"openblas_{query}64_", f"openblas_{query}"):
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], restype
+            value = fn()
+            return value.decode() if isinstance(value, bytes) else value
+    return None
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:

@@ -44,6 +44,11 @@ _GAN_FIELDS = {
 }
 
 
+# Integer detector hyperparameters and their least valid value
+# (ids.knn.max_reference = 0 means no cap).
+_INT_HYPERPARAMS = (("knn", "k", 1), ("knn", "max_reference", 0), ("rf", "n_trees", 1))
+
+
 class ConfigError(ValueError):
     pass
 
@@ -160,9 +165,16 @@ def build_run_config(args) -> evaluate.ExperimentConfig:
             raise ConfigError(f"unknown constraint setting: {setting!r}")
     if config.jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {config.jobs}")
-    k = config.ids_hyperparams.get("knn", {}).get("k", 1)
-    if not isinstance(k, int) or k < 1:
-        raise ConfigError(f"ids.knn.k must be a positive integer, got {k!r}")
+    for algorithm, param, least in _INT_HYPERPARAMS:
+        value = config.ids_hyperparams.get(algorithm, {}).get(param, least)
+        if not isinstance(value, int) or value < least:
+            raise ConfigError(
+                f"ids.{algorithm}.{param} must be an integer >= {least}, got {value!r}"
+            )
+    try:
+        config.gan.validate()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"gan: {exc}") from None
     if config.train_path is None:
         raise ConfigError("no training data path (data.train / --train)")
     return config

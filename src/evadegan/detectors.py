@@ -7,10 +7,12 @@ matrix products (svm, mlp, lr, k-NN) compute scores whose last bits depend
 on the shape of the product call, so a record within rounding of a
 decision boundary (for k-NN, a near-tie at the k-th neighbour) can change
 label with the rows batched around it. Reproducible runs therefore rest on
-fixed call shapes, not on batch independence: k-NN always works through
-blocks of KNN_BLOCK_ROWS query rows, and a run labels its generator-half
-normals in one call per detector. Vote ties break toward "attack": the
-conservative call for a detector.
+fixed call shapes, not on batch independence: k-NN computes its distances
+with one product per block of KNN_BLOCK_ROWS query rows, and a run labels
+its generator-half normals in one call per detector. Each block's distances
+are then finished and ranked in slices of KNN_SLICE_ROWS rows; every row is
+finished and ranked on its own, so the slicing cannot change a label. Vote
+ties break toward "attack": the conservative call for a detector.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ MODEL_FORMAT_VERSION = 1
 
 # Query rows per k-NN distance block (the GAN's critic batch is 128 rows).
 KNN_BLOCK_ROWS = 128
+# Rows of a block whose distances are finished and ranked together, so the
+# ranking's scratch stays small and the passes stay in cache.
+KNN_SLICE_ROWS = 16
 
 
 class SingleClassData(ValueError):
@@ -541,35 +546,41 @@ class KNearestNeighbors(ClassifierModel):
         X = self._check_input(X, self.ref_X.shape[1])
         k = min(self.hyperparams["k"], len(self.ref_y))
         out = np.empty(X.shape[0], dtype=int)
-        cross, d2 = self._distance_block()
+        block = self._distance_block()
         for start in range(0, X.shape[0], KNN_BLOCK_ROWS):
             q = X[start : start + KNN_BLOCK_ROWS]
-            c, dist = cross[: len(q)], d2[: len(q)]
-            # |q|^2 + |r|^2 - 2 q.r, in that order (doubling is exact). The
-            # row-constant |q|^2 stays: dropping it changes the rounding.
-            np.matmul(q, self.ref_X.T, out=c)
-            c *= 2.0
-            np.add((q * q).sum(axis=1)[:, None], self.ref_sq[None, :], out=dist)
-            dist -= c
-            nearest = np.argpartition(dist, k - 1, axis=1)[:, :k]
-            attack = self.ref_y[nearest].sum(axis=1)
-            # ties go to attack
-            out[start : start + KNN_BLOCK_ROWS] = np.where(
-                attack * 2 >= k, LABEL_ATTACK, LABEL_NORMAL
-            )
+            dist = block[: len(q)]
+            # One product per block gives 2 q.r: doubling is exact, so
+            # doubling q first equals doubling the product.
+            np.matmul(q + q, self.ref_X.T, out=dist)
+            q_sq = (q * q).sum(axis=1)
+            for s in range(0, len(q), KNN_SLICE_ROWS):
+                d = dist[s : s + KNN_SLICE_ROWS]
+                # |q|^2 + |r|^2 - 2 q.r, in that order. The row-constant
+                # |q|^2 stays: dropping it changes the rounding.
+                np.subtract(q_sq[s : s + KNN_SLICE_ROWS, None] + self.ref_sq, d, out=d)
+                # No name holds the index array, so it is freed here, not
+                # after the next slice's search.
+                attack = self.ref_y[np.argpartition(d, k - 1, axis=1)[:, :k]].sum(axis=1)
+                # ties go to attack
+                out[start + s : start + s + len(d)] = np.where(
+                    attack * 2 >= k, LABEL_ATTACK, LABEL_NORMAL
+                )
         return out
 
     def _distance_block(self):
-        """Scratch for one block of queries: (2 q.r, squared distances).
+        """Scratch for one block of queries: 2 q.r, finished in place into distances.
 
-        Peak memory is set by this block, not by the number of queries. It
-        is kept between calls: faulting in fresh pages for it on every call
-        costs more than the distance arithmetic. A pickled copy of the model
-        starts without it.
+        Peak memory is set by this block, not by the number of queries; the
+        neighbour search's index array and the distance sums take only a
+        slice of KNN_SLICE_ROWS rows at a time. The block is kept between
+        calls: faulting in fresh pages for it on every call costs more than
+        the distance arithmetic. A pickled copy of the model starts without
+        it.
         """
         shape = (KNN_BLOCK_ROWS, len(self.ref_y))
-        if getattr(self, "_block", None) is None or self._block[0].shape != shape:
-            self._block = (np.empty(shape), np.empty(shape))
+        if getattr(self, "_block", None) is None or self._block.shape != shape:
+            self._block = np.empty(shape)
         return self._block
 
     def __getstate__(self):

@@ -51,6 +51,9 @@ class TrainConfig:
     probe_size: int = 256
 
     def validate(self) -> None:
+        for name in ("batch_size", "epochs", "noise_dim", "g_steps", "d_steps", "probe_size"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         for name in ("batch_size", "lr_g", "lr_d", "clip_c", "noise_dim"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

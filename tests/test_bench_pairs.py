@@ -1,9 +1,12 @@
-"""The pair summary of scripts/bench_pairs.py: quartiles, wins and failed runs."""
+"""scripts/bench_pairs.py: the pair summary (quartiles, wins, failed runs) and the environment."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
+
+from evadegan import evaluate
 
 _PATH = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
@@ -45,3 +48,20 @@ def test_summary_counts_wins_by_direction():
 def test_summary_without_results():
     pairs = [{"base": {"error": "x"}, "change": run(1.0)}]
     assert bench_pairs.summarize(pairs, END_TO_END)["wall_s"] == {"pairs": 0}
+
+
+def test_environment_names_the_blas_kernel_and_its_threads():
+    set_threads = evaluate._openblas_threads("set")
+    if set_threads is None:
+        pytest.skip("numpy's BLAS has no scipy-openblas thread control")
+    env = bench_pairs.environment()
+    golden = json.loads((Path(__file__).parent / "golden" / "small_grid_traces.json").read_text())
+    assert set(golden["environment"]) <= set(env)  # the fields the golden traces record
+    assert isinstance(env["blas_core"], str) and env["blas_core"]
+    before = env["blas_threads"]
+    assert isinstance(before, int) and before >= 1
+    set_threads(1)
+    try:
+        assert bench_pairs.environment()["blas_threads"] == 1  # the live setting, not nproc
+    finally:
+        set_threads(before)

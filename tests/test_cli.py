@@ -92,6 +92,13 @@ class TestConfigParsing:
             ("--set", "ids.svm.k=3"),
             ("--set", "ids.knn.k=0"),
             ("--set", "ids.knn.k=2.5"),
+            ("--set", "gan.batch_size=0"),
+            ("--set", "gan.epochs=-1"),
+            ("--set", "gan.epochs=1.5"),
+            ("--set", "gan.lr_g=fast"),
+            ("--set", "ids.knn.max_reference=-5"),
+            ("--set", "ids.knn.max_reference=2.5"),
+            ("--set", "ids.rf.n_trees=0"),
         ],
         ids=lambda flags: flags[1],
     )

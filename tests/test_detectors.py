@@ -214,6 +214,28 @@ def knn_labels_512(model, X):
     return out
 
 
+def knn_labels_two_buffers(model, X):
+    """k-NN labels by the earlier two-block predict: 2 q.r and the distances in
+    two (KNN_BLOCK_ROWS, R) arrays, each block ranked whole."""
+    k = min(model.hyperparams["k"], len(model.ref_y))
+    out = np.empty(X.shape[0], dtype=int)
+    shape = (detectors.KNN_BLOCK_ROWS, len(model.ref_y))
+    cross, d2 = np.empty(shape), np.empty(shape)
+    for start in range(0, X.shape[0], detectors.KNN_BLOCK_ROWS):
+        q = X[start : start + detectors.KNN_BLOCK_ROWS]
+        c, dist = cross[: len(q)], d2[: len(q)]
+        np.matmul(q, model.ref_X.T, out=c)
+        c *= 2.0
+        np.add((q * q).sum(axis=1)[:, None], model.ref_sq[None, :], out=dist)
+        dist -= c
+        nearest = np.argpartition(dist, k - 1, axis=1)[:, :k]
+        attack = model.ref_y[nearest].sum(axis=1)
+        out[start : start + detectors.KNN_BLOCK_ROWS] = np.where(
+            attack * 2 >= k, LABEL_ATTACK, LABEL_NORMAL
+        )
+    return out
+
+
 # Multiples of 1/8: every distance below is computed exactly, whatever the
 # BLAS kernel or call shape, so the labels depend only on the blocking and
 # on how ties at the k-th neighbour are broken.
@@ -230,7 +252,8 @@ def knn_cases(draw):
     ref = np.vstack([base, base[dup]])
     ref_y = np.concatenate([base_y, 1 - base_y[dup]])
     extra = draw(arrays(float, (draw(st.integers(0, 10)), d), elements=GRID))
-    n_query = draw(st.integers(1, 400))  # up to several query blocks and a tail
+    # up to several query blocks and a tail; 64 is the d-step's query
+    n_query = draw(st.sampled_from([64, 1, 15, 17, 63, 127, 129, 200]) | st.integers(1, 400))
     queries = np.resize(np.vstack([extra, ref]), (n_query, d))
     return ref, ref_y, queries, draw(st.integers(1, 7))
 
@@ -271,6 +294,20 @@ class TestMemoryBounds:
         block_bytes = detectors.KNN_BLOCK_ROWS * n_ref * 8
         assert peaks[2000] - peaks[200] <= block_bytes
 
+    def test_knn_predict_scratch_is_one_block(self):
+        """Beyond its one distance block, predict holds only slice-sized scratch."""
+        rng = np.random.default_rng(6)
+        n_ref = 2000
+        model = fit("knn", rng.random((n_ref, 41)), rng.integers(0, 2, n_ref), seed=0)
+        queries = rng.random((2000, 41))
+        tracemalloc.start()
+        try:
+            model.predict(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * detectors.KNN_BLOCK_ROWS * n_ref * 8
+
     def test_knn_pickle_leaves_scratch_behind(self, toy_data):
         X, y = toy_data
         model = fit("knn", X, y, seed=0)
@@ -288,3 +325,4 @@ class TestMemoryBounds:
         singles = np.concatenate([model.predict(q[None, :]) for q in queries])
         assert np.array_equal(whole, singles)
         assert np.array_equal(whole, knn_labels_512(model, queries))
+        assert np.array_equal(whole, knn_labels_two_buffers(model, queries))
