@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import detectors, evaluate, gan, nn, nslkdd
 from .masks import ABLATION, FUNCTIONAL_ONLY
-from .nslkdd import EmptyDataset, MalformedRecord, UnknownAttack, build_schema, encode_batch
+from .nslkdd import EmptyDataset, MalformedRecord, UnknownAttack, build_schema
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,16 +45,7 @@ _GAN_FIELDS = {
 }
 
 
-# Integer detector hyperparameters and their least valid value
-# (ids.knn.max_reference = 0 means no cap).
-_INT_HYPERPARAMS = (("knn", "k", 1), ("knn", "max_reference", 0), ("rf", "n_trees", 1))
-
-
 class ConfigError(ValueError):
-    pass
-
-
-class MissingArtifact(FileNotFoundError):
     pass
 
 
@@ -93,6 +85,20 @@ def _parse_int(key: str, raw: str) -> int:
         raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
 
 
+def _check_hyperparam(key: str, value, default) -> None:
+    """An ids.* value must have the type of its default in detectors.DEFAULT_HYPERPARAMS."""
+    if isinstance(default, tuple):
+        ok, expected = all(isinstance(v, int) and v >= 1 for v in value), "integers >= 1"
+    elif isinstance(default, int):
+        least = 0 if key == "ids.knn.max_reference" else 1  # 0 means no cap
+        ok, expected = isinstance(value, int) and value >= least, f"an integer >= {least}"
+    else:
+        ok = isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+        expected = "a finite number > 0"
+    if not ok:
+        raise ConfigError(f"{key} must be {expected}, got {value!r}")
+
+
 def _apply_key(config: evaluate.ExperimentConfig, key: str, raw: str) -> None:
     if key == "data.train":
         config.train_path = raw
@@ -122,7 +128,12 @@ def _apply_key(config: evaluate.ExperimentConfig, key: str, raw: str) -> None:
         parts = key.split(".")
         if len(parts) != 3 or parts[2] not in detectors.DEFAULT_HYPERPARAMS.get(parts[1], ()):
             raise ConfigError(f"unknown config key: {key}")
-        config.ids_hyperparams.setdefault(parts[1], {})[parts[2]] = _parse_scalar(raw)
+        default = detectors.DEFAULT_HYPERPARAMS[parts[1]][parts[2]]
+        value = _parse_scalar(raw)
+        if isinstance(default, tuple) and not isinstance(value, tuple):
+            value = (value,)
+        _check_hyperparam(key, value, default)
+        config.ids_hyperparams.setdefault(parts[1], {})[parts[2]] = value
     else:
         raise ConfigError(f"unknown config key: {key}")
 
@@ -165,12 +176,6 @@ def build_run_config(args) -> evaluate.ExperimentConfig:
             raise ConfigError(f"unknown constraint setting: {setting!r}")
     if config.jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {config.jobs}")
-    for algorithm, param, least in _INT_HYPERPARAMS:
-        value = config.ids_hyperparams.get(algorithm, {}).get(param, least)
-        if not isinstance(value, int) or value < least:
-            raise ConfigError(
-                f"ids.{algorithm}.{param} must be an integer >= {least}, got {value!r}"
-            )
     try:
         config.gan.validate()
     except (TypeError, ValueError) as exc:
@@ -209,21 +214,9 @@ def _write_effective_config(config: evaluate.ExperimentConfig, out: Path) -> Non
     (out / "effective.cfg").write_text(effective_config_text(config), encoding="utf-8")
 
 
-def _require(path: Path, hint: str) -> Path:
-    if not path.exists():
-        raise MissingArtifact(f"missing artifact {path} (run `{hint}` first)")
-    return path
-
-
-def _load_split(out: Path, config: evaluate.ExperimentConfig):
-    """The (detector half, generator half) records of a prepared run."""
-    records = nslkdd.load_file(config.train_path)
-    return tuple(
-        records.take(
-            [int(i) for i in _require(out / name, "evadegan prepare").read_text().split()]
-        )
-        for name in ("split_ids.txt", "split_gan.txt")
-    )
+def _staged_inputs(config: evaluate.ExperimentConfig):
+    """The run's split, schema and encoded halves as `evaluate` derives them, bar the test file."""
+    return evaluate.prepare_grid_inputs(dataclasses.replace(config, test_path=None))
 
 
 def cmd_prepare(config: evaluate.ExperimentConfig) -> int:
@@ -252,24 +245,14 @@ def cmd_prepare(config: evaluate.ExperimentConfig) -> int:
 
 
 def cmd_train_ids(config: evaluate.ExperimentConfig) -> int:
+    inputs = _staged_inputs(config)
     out = Path(config.out_dir)
-    schema = nslkdd.FeatureSchema.load(_require(out / "schema.txt", "evadegan prepare"))
-    ids_half, _ = _load_split(out, config)
-    X = encode_batch(ids_half, schema)
-    y = evaluate.detector_labels(ids_half)
     model_dir = out / "models"
-    model_dir.mkdir(exist_ok=True)
+    model_dir.mkdir(parents=True, exist_ok=True)
     for algorithm in config.algorithms:
-        model = detectors.fit(
-            algorithm,
-            X,
-            y,
-            seed=evaluate.detector_seed(config.master_seed, algorithm),
-            schema_fingerprint=schema.fingerprint(),
-            hyperparams=config.ids_hyperparams.get(algorithm),
-        )
+        model = evaluate.train_detector(inputs, config, algorithm)
         detectors.save_model(model, model_dir / f"{algorithm}.blob")
-        train_acc = float((model.predict(X) == y).mean())
+        train_acc = float((model.predict(inputs.ids_X) == inputs.ids_y).mean())
         print(f"trained {algorithm}: train accuracy {train_acc:.4f}")
     _write_effective_config(config, out)
     return EXIT_OK
@@ -278,33 +261,25 @@ def cmd_train_ids(config: evaluate.ExperimentConfig) -> int:
 def cmd_train_gan(config: evaluate.ExperimentConfig) -> int:
     """Train each cell's GAN as `evaluate` does, against the staged detectors."""
     out = Path(config.out_dir)
-    schema = nslkdd.FeatureSchema.load(_require(out / "schema.txt", "evadegan prepare"))
-    _, gan_half = _load_split(out, config)
-    gan_X = encode_batch(gan_half, schema)
-    normals = gan_X[gan_half.is_in((nslkdd.AttackCategory.NORMAL,))]
-
-    # Every staged detector's manifest is checked before any cell trains;
-    # each detector is loaded only while its own cells train.
-    model_paths = {}
-    for algorithm in config.algorithms:
-        model_path = _require(out / "models" / f"{algorithm}.blob", "evadegan train-ids")
-        manifest = _require(model_path.with_suffix(".manifest.json"), "evadegan train-ids")
+    staged = {a: detectors.load_model(out / "models" / f"{a}.blob") for a in config.algorithms}
+    inputs = _staged_inputs(config)
+    # Every staged detector's fingerprint is checked before any cell trains.
+    for algorithm, ids_model in staged.items():
         detectors.check_schema(
-            json.loads(manifest.read_text(encoding="utf-8")).get("schema_fingerprint"),
-            schema.fingerprint(),
-            f"staged {algorithm} detector",
+            ids_model.schema_fingerprint, inputs.fingerprint, f"staged {algorithm} detector"
         )
-        model_paths[algorithm] = model_path
 
-    for algorithm, model_path in model_paths.items():
-        ids_model = detectors.load_model(model_path)
-        normal_labels = evaluate.label_normals(ids_model, normals, schema.fingerprint())
+    for algorithm, ids_model in staged.items():
+        normal_labels = evaluate.label_normals(ids_model, inputs.gan_normals, inputs.fingerprint)
         for attack in config.attacks:
-            attacks = gan_X[gan_half.is_in(evaluate.ATTACK_GROUPS[attack])]
-            data = gan.TrainData(normals=normals, normal_labels=normal_labels, attacks=attacks)
+            data = gan.TrainData(
+                normals=inputs.gan_normals,
+                normal_labels=normal_labels,
+                attacks=inputs.gan_attacks[attack],
+            )
             for setting in config.settings:
                 cell = evaluate.train_cell_gan(
-                    config, algorithm, attack, setting, ids_model, data, schema
+                    config, algorithm, attack, setting, ids_model, data, inputs.schema
                 )
                 cell_dir = out / "gan" / f"{algorithm}_{attack}_{setting}"
                 cell_dir.mkdir(parents=True, exist_ok=True)
@@ -398,7 +373,7 @@ def main(argv=None) -> int:
             print(f"data error: {exc}", file=sys.stderr)
             return EXIT_DATA
         raise
-    except (*DATA_ERRORS, MissingArtifact, FileNotFoundError) as exc:
+    except (*DATA_ERRORS, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

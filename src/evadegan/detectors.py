@@ -646,12 +646,10 @@ def predict(model: ClassifierModel, X, schema_fingerprint: str | None = None) ->
     return model.predict(X)
 
 
-def save_model(model: ClassifierModel, path, manifest_path=None) -> None:
+def save_model(model: ClassifierModel, path) -> None:
     """Write the model blob and a JSON manifest beside it."""
     model.save(path)
-    if manifest_path is None:
-        manifest_path = Path(path).with_suffix(".manifest.json")
-    Path(manifest_path).write_text(
+    Path(path).with_suffix(".manifest.json").write_text(
         json.dumps(model.manifest(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 

@@ -199,15 +199,23 @@ def detector_labels(records: Records) -> np.ndarray:
 
 
 def prepare_grid_inputs(config: ExperimentConfig) -> _GridInputs:
+    """Split, schema and encoded matrices of a run, derived from its train file and seed.
+
+    The test file is read only when ``config.test_path`` is set; the staged
+    commands train without one, and their ``test_attacks`` is empty.
+    """
     train = load_file(config.train_path)
-    test = load_file(config.test_path)
+    test = None if config.test_path is None else load_file(config.test_path)
     ids_half, gan_half = split_train(train, config.master_seed)
 
     # Ranges and vocabularies come from the detector training half only.
     schema = build_schema(ids_half)
 
     gan_X = encode_batch(gan_half, schema)
-    test_X = encode_batch(test, schema)
+    test_attacks = {}
+    if test is not None:
+        test_X = encode_batch(test, schema)
+        test_attacks = {name: test_X[test.is_in(group)] for name, group in ATTACK_GROUPS.items()}
     return _GridInputs(
         schema=schema,
         fingerprint=schema.fingerprint(),
@@ -215,7 +223,7 @@ def prepare_grid_inputs(config: ExperimentConfig) -> _GridInputs:
         ids_y=detector_labels(ids_half),
         gan_normals=gan_X[gan_half.is_in((AttackCategory.NORMAL,))],
         gan_attacks={name: gan_X[gan_half.is_in(group)] for name, group in ATTACK_GROUPS.items()},
-        test_attacks={name: test_X[test.is_in(group)] for name, group in ATTACK_GROUPS.items()},
+        test_attacks=test_attacks,
     )
 
 
@@ -272,20 +280,31 @@ def label_normals(model: detectors.ClassifierModel, normals, fingerprint: str) -
     return detectors.predict(model, normals, fingerprint)
 
 
+def train_detector(
+    inputs: _GridInputs, config: ExperimentConfig, algorithm: str
+) -> detectors.ClassifierModel:
+    """`algorithm`'s detector, trained on the detector half with the run's seed and hyperparameters.
+
+    ``evaluate`` and ``train-ids`` both train a detector here, so a staged
+    detector is the one the grid scores.
+    """
+    return detectors.fit(
+        algorithm,
+        inputs.ids_X,
+        inputs.ids_y,
+        seed=detector_seed(config.master_seed, algorithm),
+        schema_fingerprint=inputs.fingerprint,
+        hyperparams=config.ids_hyperparams.get(algorithm),
+    )
+
+
 def fit_detector(inputs: _GridInputs, config: ExperimentConfig, algorithm: str) -> FittedDetector:
     """Train `algorithm` on the detector half, label each requested test group and the normals."""
     try:
         for attack in config.attacks:
             if len(inputs.test_attacks[attack]) == 0:
                 raise EmptyEvaluationSet(f"no {attack} attack records in the test split")
-        model = detectors.fit(
-            algorithm,
-            inputs.ids_X,
-            inputs.ids_y,
-            seed=detector_seed(config.master_seed, algorithm),
-            schema_fingerprint=inputs.fingerprint,
-            hyperparams=config.ids_hyperparams.get(algorithm),
-        )
+        model = train_detector(inputs, config, algorithm)
         original = {
             attack: detectors.predict(model, inputs.test_attacks[attack], inputs.fingerprint)
             for attack in config.attacks

@@ -54,11 +54,20 @@ class TrainConfig:
         for name in ("batch_size", "epochs", "noise_dim", "g_steps", "d_steps", "probe_size"):
             if not isinstance(getattr(self, name), (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
-        for name in ("batch_size", "lr_g", "lr_d", "clip_c", "noise_dim"):
+        for name in ("lr_g", "lr_d", "clip_c", "rmsprop_rho", "rmsprop_epsilon"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or not np.isfinite(value):
+                raise ValueError(f"{name} must be a finite number")
+        for name in ("gen_hidden", "critic_hidden"):
+            if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in getattr(self, name)):
+                raise ValueError(f"{name} must be integers >= 1")
+        for name in ("batch_size", "lr_g", "lr_d", "clip_c", "noise_dim", "rmsprop_epsilon"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.epochs < 0 or self.g_steps < 1 or self.d_steps < 1:
-            raise ValueError("epochs must be >= 0, g_steps/d_steps >= 1")
+        if self.epochs < 0 or self.g_steps < 1 or self.d_steps < 1 or self.probe_size < 1:
+            raise ValueError("epochs must be >= 0, g_steps/d_steps/probe_size >= 1")
+        if not 0 <= self.rmsprop_rho < 1:
+            raise ValueError("rmsprop_rho must lie in [0, 1)")
 
 
 @dataclass

@@ -361,14 +361,6 @@ class FeatureSchema:
     names = FEATURE_NAMES
 
     @staticmethod
-    def kind(i: int) -> str:
-        return FEATURE_TABLE[i][1]
-
-    @staticmethod
-    def feature_set(i: int) -> str:
-        return FEATURE_TABLE[i][2]
-
-    @staticmethod
     def indices_of_kind(kind: str) -> tuple:
         return tuple(i for i, (_, k, _) in enumerate(FEATURE_TABLE) if k == kind)
 
@@ -381,7 +373,7 @@ class FeatureSchema:
         return self.indices_of_kind(DISCRETE_BINARY)
 
     def to_text(self) -> str:
-        """Render the schema as a line-oriented text artifact (round-trips)."""
+        """Render the schema as a line-oriented text artifact; its SHA-256 is the fingerprint."""
         lines = [f"# nslkdd-schema v{SCHEMA_FORMAT_VERSION}"]
         for i, (name, kind, fset) in enumerate(FEATURE_TABLE):
             vocab = ",".join(self.vocabs.get(i, ()))
@@ -391,34 +383,8 @@ class FeatureSchema:
             )
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> "FeatureSchema":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        header = lines[0]
-        if not header.startswith("# nslkdd-schema"):
-            raise ValueError("not a schema artifact")
-        body = lines[1:]
-        if len(body) != N_FEATURES:
-            raise ValueError(f"schema artifact has {len(body)} feature lines")
-        vocabs = {}
-        fmin = np.zeros(N_FEATURES)
-        fmax = np.zeros(N_FEATURES)
-        for i, ln in enumerate(body):
-            name, kind, fset, vocab, lo, hi = ln.split("\t")
-            if name != FEATURE_NAMES[i] or kind != FEATURE_TABLE[i][1]:
-                raise ValueError(f"schema line {i} does not match feature table")
-            if vocab:
-                vocabs[i] = vocab.split(",")
-            fmin[i] = float(lo)
-            fmax[i] = float(hi)
-        return cls(vocabs=vocabs, fmin=fmin, fmax=fmax)
-
     def save(self, path) -> None:
         Path(path).write_text(self.to_text(), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "FeatureSchema":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()

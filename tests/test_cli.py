@@ -99,6 +99,17 @@ class TestConfigParsing:
             ("--set", "ids.knn.max_reference=-5"),
             ("--set", "ids.knn.max_reference=2.5"),
             ("--set", "ids.rf.n_trees=0"),
+            ("--set", "ids.svm.epochs=2.5"),
+            ("--set", "ids.svm.lam=abc"),
+            ("--set", "ids.mlp.hidden=0"),
+            ("--set", "ids.dt.max_depth=-1"),
+            ("--set", "ids.rf.features_per_split=0"),
+            ("--set", "gan.probe_size=0"),
+            ("--set", "gan.rmsprop_rho=abc"),
+            ("--set", "gan.rmsprop_rho=1.5"),
+            ("--set", "gan.rmsprop_epsilon=0"),
+            ("--set", "gan.gen_hidden=0"),
+            ("--set", "gan.critic_hidden=16,0"),
         ],
         ids=lambda flags: flags[1],
     )
@@ -181,14 +192,6 @@ class TestPrepare:
 
 
 class TestStagedTraining:
-    def test_train_ids_requires_prepare(self, corpus_dir, tmp_path, capsys):
-        code = run_cli(
-            "train-ids", "--train", str(corpus_dir / "train.txt"),
-            "--out", str(tmp_path / "fresh"), "--ids", "lr",
-        )
-        assert code == EXIT_DATA
-        assert "schema.txt" in capsys.readouterr().err
-
     def test_train_ids_writes_models(self, prepared, corpus_dir):
         code = run_cli(
             "train-ids", "--train", str(corpus_dir / "train.txt"),
@@ -202,6 +205,19 @@ class TestStagedTraining:
             )
             assert manifest["algorithm"] == algorithm
             assert manifest["schema_fingerprint"]
+
+    def test_train_ids_derives_its_split_from_its_own_train_file(self, corpus_dir, tmp_path):
+        """prepare's split files index another file's rows; train-ids reads none of them."""
+        out = tmp_path / "other"
+        code = run_cli("prepare", "--train", str(corpus_dir / "train.txt"), "--out", str(out))
+        assert code == EXIT_OK
+        code = run_cli(
+            "train-ids", "--train", str(corpus_dir / "test.txt"), "--out", str(out), "--ids", "lr"
+        )
+        assert code == EXIT_OK
+        config = evaluate.ExperimentConfig(train_path=str(corpus_dir / "test.txt"))
+        fingerprint = evaluate.prepare_grid_inputs(config).fingerprint
+        assert detectors.load_model(out / "models" / "lr.blob").schema_fingerprint == fingerprint
 
     def test_train_ids_model_is_the_evaluate_detector(self, prepared, corpus_dir):
         code = run_cli(
@@ -258,7 +274,7 @@ class TestStagedTraining:
         assert run_cli("train-ids", *data, "--seed", "5") == EXIT_OK
         staged = json.loads((out / "models" / "lr.manifest.json").read_text())
         assert run_cli("prepare", *data, "--seed", "6") == EXIT_OK
-        current = nslkdd.FeatureSchema.load(out / "schema.txt").fingerprint()
+        current = hashlib.sha256((out / "schema.txt").read_bytes()).hexdigest()
         assert staged["schema_fingerprint"] != current
         capsys.readouterr()
 
@@ -268,18 +284,33 @@ class TestStagedTraining:
         assert "lr" in err and staged["schema_fingerprint"] in err and current in err
         assert not (out / "gan").exists()
 
-    @pytest.mark.parametrize("algorithm", ["lr", "knn"])
-    def test_staged_cells_reproduce_evaluate(self, corpus_dir, tmp_path, algorithm):
+    @pytest.mark.parametrize(
+        "algorithm,prepare_seed",
+        [
+            pytest.param("lr", "5", id="lr"),
+            pytest.param("knn", "5", id="knn"),
+            pytest.param("lr", None, id="lr-no-prepare"),
+            pytest.param("knn", None, id="knn-no-prepare"),
+            pytest.param("lr", "6", id="lr-prepare-other-seed"),
+            pytest.param("knn", "6", id="knn-prepare-other-seed"),
+        ],
+    )
+    def test_staged_cells_reproduce_evaluate(self, corpus_dir, tmp_path, algorithm, prepare_seed):
+        """Each stage derives its split and schema from --train/--seed, whatever prepare wrote."""
         staged, graded = tmp_path / "staged", tmp_path / "graded"
-        data = ["--train", str(corpus_dir / "train.txt"), "--seed", "5", *FAST_GAN]
-        for command in ("prepare", "train-ids", "train-gan"):
-            assert run_cli(command, *data, "--out", str(staged), "--ids", algorithm) == EXIT_OK
+        data = ["--train", str(corpus_dir / "train.txt"), *FAST_GAN, "--ids", algorithm]
+        if prepare_seed is not None:
+            code = run_cli("prepare", *data, "--seed", prepare_seed, "--out", str(staged))
+            assert code == EXIT_OK
+        for command in ("train-ids", "train-gan"):
+            assert run_cli(command, *data, "--seed", "5", "--out", str(staged)) == EXIT_OK
         code = run_cli(
-            "evaluate", *data, "--test", str(corpus_dir / "test.txt"),
-            "--out", str(graded), "--ids", algorithm,
+            "evaluate", *data, "--seed", "5", "--test", str(corpus_dir / "test.txt"),
+            "--out", str(graded),
         )
         assert code == EXIT_OK
-        assert (staged / "schema.txt").read_bytes() == (graded / "schema.txt").read_bytes()
+        if prepare_seed == "5":
+            assert (staged / "schema.txt").read_bytes() == (graded / "schema.txt").read_bytes()
         for attack in ("dos", "u2r_r2l"):
             for setting in ("functional_only", "ablation"):
                 cell = f"{algorithm}_{attack}_{setting}"

