@@ -1,7 +1,8 @@
 """Command-line front end: prepare / train-ids / train-gan / evaluate.
 
 Configuration lives in a flat dotted-key text file (``gan.epochs = 50``);
-command-line flags override file values. Every command writes the effective
+``--set key=value`` overrides it, and each flag, shorthand for one key in
+`RUN_KEYS`, overrides both. Every command writes the effective
 merged configuration next to its outputs so a run can be reproduced from
 the artifact directory alone.
 
@@ -16,7 +17,9 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -65,10 +68,10 @@ def _parse_scalar(text: str):
 
 
 def parse_config_file(path) -> dict:
-    """Read ``key = value`` lines; '#' starts a comment."""
+    """Read ``key = value`` lines; a '#' at a line's start or after whitespace starts a comment."""
     values = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -78,11 +81,51 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def _parse_int(key: str, raw: str) -> int:
+def _parse_int(key: str, raw: str, least=None) -> int:
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
+    if least is not None and value < least:
+        raise ConfigError(f"{key} must be at least {least}, got {value}")
+    return value
+
+
+def _parse_path(key: str, raw: str):
+    return raw or None
+
+
+def _names_from(choices, noun):
+    """Parser of a comma list of names, each one of `choices`; an empty list is an empty grid."""
+
+    def parse(key: str, raw: str) -> tuple:
+        names = tuple(a.strip() for a in raw.split(",") if a.strip())
+        if not names:
+            raise ConfigError(f"{key} is empty, so the grid has no cells")
+        for name in names:
+            if name not in choices:
+                raise ConfigError(f"unknown {noun}: {name!r}")
+        return names
+
+    return parse
+
+
+_ALGORITHMS = _names_from(detectors.ALGORITHMS, "detector algorithm")
+_ATTACKS = _names_from(evaluate.ATTACK_GROUPS, "attack group")
+_SETTINGS = _names_from((FUNCTIONAL_ONLY, ABLATION), "constraint setting")
+
+# The run-level keys: key -> (ExperimentConfig attribute, parser (key, raw) -> value,
+# command-line flag, the flag's help). Each flag is shorthand for its key.
+RUN_KEYS = {
+    "data.train": ("train_path", _parse_path, "--train", "KDDTrain+ style data file"),
+    "data.test": ("test_path", _parse_path, "--test", "KDDTest+ style data file"),
+    "out": ("out_dir", lambda key, raw: raw, "--out", "output directory"),
+    "seed": ("master_seed", _parse_int, "--seed", "master seed"),
+    "ids.algorithms": ("algorithms", _ALGORITHMS, "--ids", "comma list of detector algorithms"),
+    "attacks": ("attacks", _ATTACKS, "--attack", "comma list of attack groups"),
+    "settings": ("settings", _SETTINGS, "--setting", "comma list of constraint settings"),
+    "jobs": ("jobs", partial(_parse_int, least=1), "--jobs", "parallel workers for grid cells"),
+}
 
 
 def _check_hyperparam(key: str, value, default) -> None:
@@ -100,22 +143,9 @@ def _check_hyperparam(key: str, value, default) -> None:
 
 
 def _apply_key(config: evaluate.ExperimentConfig, key: str, raw: str) -> None:
-    if key == "data.train":
-        config.train_path = raw
-    elif key == "data.test":
-        config.test_path = raw
-    elif key == "out":
-        config.out_dir = raw
-    elif key == "seed":
-        config.master_seed = _parse_int(key, raw)
-    elif key == "jobs":
-        config.jobs = _parse_int(key, raw)
-    elif key == "ids.algorithms":
-        config.algorithms = tuple(a.strip() for a in raw.split(",") if a.strip())
-    elif key == "attacks":
-        config.attacks = tuple(a.strip() for a in raw.split(",") if a.strip())
-    elif key == "settings":
-        config.settings = tuple(a.strip() for a in raw.split(",") if a.strip())
+    if key in RUN_KEYS:
+        attr, parse, _, _ = RUN_KEYS[key]
+        setattr(config, attr, parse(key, raw))
     elif key.startswith("gan."):
         name = key[4:]
         if name not in _GAN_FIELDS:
@@ -139,43 +169,18 @@ def _apply_key(config: evaluate.ExperimentConfig, key: str, raw: str) -> None:
 
 
 def build_run_config(args) -> evaluate.ExperimentConfig:
-    config = evaluate.ExperimentConfig()
-    if args.config:
-        for key, raw in parse_config_file(args.config).items():
-            _apply_key(config, key, raw)
+    """Apply the config file's pairs, then each --set, then each flag given (later wins)."""
+    pairs = list(parse_config_file(args.config).items()) if args.config else []
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, raw = item.partition("=")
-        _apply_key(config, key.strip(), raw.strip())
-    if args.train:
-        config.train_path = args.train
-    if args.test:
-        config.test_path = args.test
-    if args.out:
-        config.out_dir = args.out
-    if args.seed is not None:
-        config.master_seed = args.seed
-    if args.ids:
-        config.algorithms = tuple(args.ids.split(","))
-    if args.attack:
-        config.attacks = tuple(args.attack.split(","))
-    if args.setting:
-        config.settings = tuple(args.setting.split(","))
-    if args.jobs is not None:
-        config.jobs = args.jobs
+        pairs.append((key.strip(), raw.strip()))
+    pairs += [(key, getattr(args, key)) for key in RUN_KEYS if getattr(args, key) is not None]
 
-    for algorithm in config.algorithms:
-        if algorithm not in detectors.ALGORITHMS:
-            raise ConfigError(f"unknown detector algorithm: {algorithm!r}")
-    for attack in config.attacks:
-        if attack not in evaluate.ATTACK_GROUPS:
-            raise ConfigError(f"unknown attack group: {attack!r}")
-    for setting in config.settings:
-        if setting not in (FUNCTIONAL_ONLY, ABLATION):
-            raise ConfigError(f"unknown constraint setting: {setting!r}")
-    if config.jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, got {config.jobs}")
+    config = evaluate.ExperimentConfig()
+    for key, raw in pairs:
+        _apply_key(config, key, raw)
     try:
         config.gan.validate()
     except (TypeError, ValueError) as exc:
@@ -185,29 +190,19 @@ def build_run_config(args) -> evaluate.ExperimentConfig:
     return config
 
 
+def _render(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return "" if value is None else str(value)
+
+
 def effective_config_text(config: evaluate.ExperimentConfig) -> str:
     """Flat dotted-key rendering of the merged configuration."""
-    pairs = {
-        "data.train": config.train_path,
-        "data.test": config.test_path or "",
-        "out": config.out_dir,
-        "seed": config.master_seed,
-        "jobs": config.jobs,
-        "ids.algorithms": ",".join(config.algorithms),
-        "attacks": ",".join(config.attacks),
-        "settings": ",".join(config.settings),
-    }
-    for f in sorted(_GAN_FIELDS):
-        value = getattr(config.gan, f)
-        if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        pairs[f"gan.{f}"] = value
-    for algorithm in sorted(config.ids_hyperparams):
-        for param, value in sorted(config.ids_hyperparams[algorithm].items()):
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            pairs[f"ids.{algorithm}.{param}"] = value
-    return "\n".join(f"{k} = {pairs[k]}" for k in sorted(pairs)) + "\n"
+    pairs = {key: getattr(config, attr) for key, (attr, _, _, _) in RUN_KEYS.items()}
+    pairs.update((f"gan.{f}", getattr(config.gan, f)) for f in _GAN_FIELDS)
+    for algorithm, params in config.ids_hyperparams.items():
+        pairs.update((f"ids.{algorithm}.{param}", value) for param, value in params.items())
+    return "".join(f"{k} = {_render(pairs[k])}\n" for k in sorted(pairs))
 
 
 def _write_effective_config(config: evaluate.ExperimentConfig, out: Path) -> None:
@@ -337,14 +332,8 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.set_defaults(func=fn)
         p.add_argument("--config", help="flat dotted-key config file")
-        p.add_argument("--train", help="KDDTrain+ style data file")
-        p.add_argument("--test", help="KDDTest+ style data file")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--ids", help="comma list of detector algorithms")
-        p.add_argument("--attack", help="comma list of attack groups")
-        p.add_argument("--setting", help="comma list of constraint settings")
-        p.add_argument("--jobs", type=int, help="parallel workers for grid cells")
+        for key, (_, _, flag, help_text) in RUN_KEYS.items():
+            p.add_argument(flag, dest=key, metavar=flag[2:].upper(), help=help_text)
         p.add_argument(
             "--set",
             action="append",

@@ -15,7 +15,7 @@ label `UnknownAttack`) names its 1-based line number; the CLI exits 3.
 Encoding converts symbolic tokens to 1-based vocabulary indices, then
 min-max normalizes every feature into [0,1] using ranges measured on the
 detector training half only. Test-time values outside the training range
-(including never-seen service tokens) are clamped by default.
+(including never-seen service tokens) are clamped.
 """
 
 from __future__ import annotations
@@ -169,10 +169,6 @@ class UnknownAttack(KeyError):
 
 class EmptyDataset(ValueError):
     """Raised when schema construction receives no records."""
-
-
-class UnknownToken(KeyError):
-    """Raised for out-of-vocabulary symbolic tokens when clamping is off."""
 
 
 @dataclass(frozen=True)
@@ -390,7 +386,7 @@ class FeatureSchema:
         return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()
 
 
-def _raw_matrix(records: Records, schema: FeatureSchema, clamp: bool) -> np.ndarray:
+def _raw_matrix(records: Records, schema: FeatureSchema) -> np.ndarray:
     """Feature values before normalization, symbolic tokens as 1-based vocabulary positions."""
     raw = records.values.copy()
     for j, i in enumerate(SYMBOLIC_INDICES):
@@ -400,12 +396,7 @@ def _raw_matrix(records: Records, schema: FeatureSchema, clamp: bool) -> np.ndar
         # Unknown tokens sit one past the known vocabulary, so the range
         # clamp pins them to the top of the train range.
         lookup = np.array([position.get(t, len(vocab) + 1) for t in tokens.tolist()], dtype=float)
-        column = lookup[records.token_codes[:, j]]
-        unknown = column > len(vocab)
-        if not clamp and unknown.any():
-            first = records.token_codes[unknown, j].min()
-            raise UnknownToken(f"{FEATURE_NAMES[i]}: token {tokens[first]!r} not in vocabulary")
-        raw[:, i] = column
+        raw[:, i] = lookup[records.token_codes[:, j]]
     return raw
 
 
@@ -421,7 +412,7 @@ def build_schema(train: Records) -> FeatureSchema:
         vocabs[i] = list(seed) + [t for t in tokens if t not in seed]
 
     schema = FeatureSchema(vocabs=vocabs)
-    raw = _raw_matrix(train, schema, clamp=False)
+    raw = _raw_matrix(train, schema)
     schema.fmin = raw.min(axis=0)
     schema.fmax = raw.max(axis=0)
     schema.fmin[list(BINARY_INDICES)] = 0.0
@@ -429,11 +420,10 @@ def build_schema(train: Records) -> FeatureSchema:
     return schema
 
 
-def encode_batch(records: Records, schema: FeatureSchema, clamp: bool = True) -> np.ndarray:
-    """Min-max normalize every record into [0,1]^41: an (n, 41) matrix."""
-    x = _raw_matrix(records, schema, clamp)
-    if clamp:
-        np.clip(x, schema.fmin, schema.fmax, out=x)
+def encode_batch(records: Records, schema: FeatureSchema) -> np.ndarray:
+    """Min-max normalize every record into [0,1]^41, clamped to the train range: (n, 41)."""
+    x = _raw_matrix(records, schema)
+    np.clip(x, schema.fmin, schema.fmax, out=x)
     span = schema.fmax - schema.fmin
     x -= schema.fmin
     x /= np.where(span > 0.0, span, 1.0)

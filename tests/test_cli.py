@@ -110,6 +110,9 @@ class TestConfigParsing:
             ("--set", "gan.rmsprop_epsilon=0"),
             ("--set", "gan.gen_hidden=0"),
             ("--set", "gan.critic_hidden=16,0"),
+            ("--set", "ids.algorithms="),
+            ("--set", "attacks="),
+            ("--set", "settings= , "),
         ],
         ids=lambda flags: flags[1],
     )
@@ -123,18 +126,49 @@ class TestConfigParsing:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_effective_config_round_trips(self, tmp_path, corpus_dir):
+    @pytest.mark.parametrize("with_test", [True, False], ids=["test", "no-test"])
+    @pytest.mark.parametrize("command", ["prepare", "train-ids", "train-gan", "evaluate"])
+    def test_effective_config_round_trips(self, tmp_path, corpus_dir, command, with_test):
+        out = tmp_path / "run#1"
+        test = ["--test", str(corpus_dir / "test.txt")] if with_test else []
         args = make_parser().parse_args(
-            ["evaluate", "--train", str(corpus_dir / "train.txt"), "--seed", "3",
-             "--set", "gan.epochs=2", "--set", "ids.rf.n_trees=5"]
+            [command, "--train", str(corpus_dir / "train.txt"), *test, "--out", str(out),
+             "--seed", "3", "--ids", "lr, knn", "--attack", "dos", "--jobs", "2",
+             "--set", "gan.epochs=2", "--set", "gan.critic_hidden=16",
+             "--set", "ids.rf.n_trees=5", "--set", "ids.mlp.hidden=8"]
         )
         config = build_run_config(args)
-        text = effective_config_text(config)
-        cfg = tmp_path / "effective.cfg"
-        cfg.write_text(text)
-        args2 = make_parser().parse_args(["evaluate", "--config", str(cfg)])
-        config2 = build_run_config(args2)
-        assert effective_config_text(config2) == text
+        out.mkdir()
+        (out / "effective.cfg").write_text(effective_config_text(config))
+        again = build_run_config(
+            make_parser().parse_args([command, "--config", str(out / "effective.cfg")])
+        )
+        assert again == config
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            ("--train", "data.train", "other.txt"),
+            ("--test", "data.test", "test.txt"),
+            ("--out", "out", "runs/r#1"),
+            ("--seed", "seed", "7"),
+            ("--ids", "ids.algorithms", "lr, knn"),
+            ("--attack", "attacks", "u2r_r2l"),
+            ("--setting", "settings", "ablation"),
+            ("--jobs", "jobs", "2"),
+        ],
+        ids=lambda case: case[0],
+    )
+    def test_flag_is_shorthand_for_its_key(self, case):
+        flag, key, value = case
+
+        def config(*argv):
+            args = make_parser().parse_args(["evaluate", "--set", "data.train=t.txt", *argv])
+            return build_run_config(args)
+
+        flagged = config(flag, value)
+        assert flagged == config("--set", f"{key}={value}")
+        assert flagged != config()
 
 
 class TestPrepare:
@@ -338,6 +372,17 @@ class TestEvaluate:
     def test_missing_test_path_is_config_error(self, corpus_dir):
         code = run_cli("evaluate", "--train", str(corpus_dir / "train.txt"))
         assert code == EXIT_CONFIG
+
+    def test_train_ids_config_has_no_test_path(self, corpus_dir, tmp_path, capsys):
+        """A staged run's effective.cfg has an empty data.test, which reads back as no test file."""
+        staged = tmp_path / "staged"
+        code = run_cli(
+            "train-ids", "--train", str(corpus_dir / "train.txt"), "--out", str(staged), "--ids", "lr"
+        )
+        assert code == EXIT_OK
+        capsys.readouterr()
+        assert run_cli("evaluate", "--config", str(staged / "effective.cfg")) == EXIT_CONFIG
+        assert "no test data path" in capsys.readouterr().err
 
     def test_byte_identical_reruns_from_effective_config(self, corpus_dir, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -24,7 +24,6 @@ from evadegan.nslkdd import (
     MalformedRecord,
     Records,
     UnknownAttack,
-    UnknownToken,
     build_schema,
     encode_batch,
     load_file,
@@ -304,11 +303,11 @@ def toy_schema(tmp_path_factory):
     return build_schema(load_rows(tmp_path_factory.mktemp("toy"), rows))
 
 
-def encode_row(directory, row, schema, clamp=True):
-    return encode_batch(load_rows(directory, [row]), schema, clamp=clamp)[0]
+def encode_row(directory, row, schema):
+    return encode_batch(load_rows(directory, [row]), schema)[0]
 
 
-def reference_encode(records, schema, clamp=True):
+def reference_encode(records, schema):
     """Record-by-record, field-by-field encoding: the oracle for encode_batch."""
     out = np.empty((len(records), 41))
     for r in range(len(records)):
@@ -317,8 +316,7 @@ def reference_encode(records, schema, clamp=True):
             vocab = schema.vocabs[i]
             token = records.tokens[r, j]
             x[i] = vocab.index(token) + 1 if token in vocab else len(vocab) + 1
-        if clamp:
-            x = np.clip(x, schema.fmin, schema.fmax)
+        x = np.clip(x, schema.fmin, schema.fmax)
         span = schema.fmax - schema.fmin
         out[r] = np.where(span > 0.0, (x - schema.fmin) / np.where(span > 0.0, span, 1.0), 0.0)
     return out
@@ -362,10 +360,6 @@ class TestEncode:
     def test_unseen_token_clamps_to_top(self, toy_schema, tmp_path):
         enc = encode_row(tmp_path, make_row().replace("http", "nosuchservice"), toy_schema)
         assert enc[nslkdd.FEATURE_INDEX["service"]] == 1.0
-
-    def test_unseen_token_raises_when_clamp_off(self, toy_schema, tmp_path):
-        with pytest.raises(UnknownToken):
-            encode_row(tmp_path, make_row().replace("http", "nosuchservice"), toy_schema, clamp=False)
 
     def test_out_of_range_numeric_clamps(self, toy_schema, tmp_path):
         enc = encode_row(tmp_path, make_row(["999"] + ["0"] * 40), toy_schema)
