@@ -5,10 +5,11 @@
 For each algorithm and side, a fresh interpreter runs what one detector
 costs in a grid run: ``evaluate.prepare_grid_inputs`` (ingest), then
 ``evaluate.fit_detector`` (fit and the original predictions on every attack
-group's test records), then ``detectors.predict`` over all generator-half
-normals. It reports its peak resident set size (``ru_maxrss``) after ingest
-and at the end, and a SHA-256 of every label it computed, so the two sides'
-labels can be compared. The corpus is the seeded synthetic one at NSL-KDD
+group's test records), then the fitted model's own ``predict``, which
+both sides have, over all generator-half normals. It reports its peak
+resident set size (``ru_maxrss``) after ingest and at the end, and a
+SHA-256 of every label it computed, so the two sides' labels can be
+compared. The corpus is the seeded synthetic one at NSL-KDD
 shape (125,973 train and 22,544 test rows), written once under
 ``.bench_work/peak_memory``. The base side is exported with ``git archive``
 as in ``bench_pairs.py``, whose environment fields the output repeats.
@@ -44,7 +45,7 @@ def maxrss_mb() -> float:
 
 def measure(algorithm: str, train: str, test: str) -> dict:
     """One detector's ingest, fit and labelling in this interpreter."""
-    from evadegan import detectors, evaluate
+    from evadegan import evaluate
 
     config = evaluate.ExperimentConfig(
         train_path=train, test_path=test, master_seed=SEED, algorithms=(algorithm,)
@@ -52,7 +53,7 @@ def measure(algorithm: str, train: str, test: str) -> dict:
     inputs = evaluate.prepare_grid_inputs(config)
     ingest = maxrss_mb()
     fitted = evaluate.fit_detector(inputs, config, algorithm)
-    normals = detectors.predict(fitted.model, inputs.gan_normals, inputs.fingerprint)
+    normals = fitted.model.predict(inputs.gan_normals)
     end = maxrss_mb()
     digest = hashlib.sha256()
     for attack in config.attacks:

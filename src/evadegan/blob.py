@@ -1,4 +1,4 @@
-"""Versioned binary blobs for model checkpoints.
+"""Versioned binary blobs: the on-disk form of trained models and networks.
 
 Layout: 8-byte magic, 4-byte little-endian header length, a UTF-8 JSON
 header (format version, array names/shapes, arbitrary metadata), then the
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -31,24 +30,3 @@ def save_blob(path, arrays: dict, meta: dict | None = None) -> None:
         fh.write(payload)
         for value in arrays.values():
             fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
-
-
-def load_blob(path):
-    """Read a blob back as (arrays dict, meta dict)."""
-    raw = Path(path).read_bytes()
-    if raw[: len(MAGIC)] != MAGIC:
-        raise ValueError(f"{path}: not a checkpoint blob")
-    (hlen,) = struct.unpack_from("<I", raw, len(MAGIC))
-    start = len(MAGIC) + 4
-    header = json.loads(raw[start : start + hlen].decode("utf-8"))
-    if header["format_version"] != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported blob version {header['format_version']}")
-    offset = start + hlen
-    arrays = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        arrays[entry["name"]] = arr.reshape(shape).astype(float)
-        offset += count * 8
-    return arrays, header["meta"]

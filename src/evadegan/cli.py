@@ -52,6 +52,10 @@ class ConfigError(ValueError):
     pass
 
 
+# A '#' at a line's start or after whitespace starts a comment.
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def _parse_scalar(text: str):
     text = text.strip()
     if "," in text:
@@ -71,7 +75,7 @@ def parse_config_file(path) -> dict:
     """Read ``key = value`` lines; a '#' at a line's start or after whitespace starts a comment."""
     values = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
+        line = _COMMENT.split(line, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -187,6 +191,14 @@ def build_run_config(args) -> evaluate.ExperimentConfig:
         raise ConfigError(f"gan: {exc}") from None
     if config.train_path is None:
         raise ConfigError("no training data path (data.train / --train)")
+    for key, text in _rendered_pairs(config).items():
+        # effective.cfg must read every value back unchanged.
+        if text != text.strip() or _COMMENT.search(text) or len(text.splitlines()) > 1:
+            raise ConfigError(
+                f"{key} = {text!r} cannot be written to effective.cfg: a value may not "
+                "start or end with whitespace, hold a line break, or hold a '#' that "
+                "starts it or follows whitespace"
+            )
     return config
 
 
@@ -196,13 +208,18 @@ def _render(value) -> str:
     return "" if value is None else str(value)
 
 
-def effective_config_text(config: evaluate.ExperimentConfig) -> str:
-    """Flat dotted-key rendering of the merged configuration."""
+def _rendered_pairs(config: evaluate.ExperimentConfig) -> dict:
+    """Every key of the merged configuration, with its value as effective.cfg writes it."""
     pairs = {key: getattr(config, attr) for key, (attr, _, _, _) in RUN_KEYS.items()}
     pairs.update((f"gan.{f}", getattr(config.gan, f)) for f in _GAN_FIELDS)
     for algorithm, params in config.ids_hyperparams.items():
         pairs.update((f"ids.{algorithm}.{param}", value) for param, value in params.items())
-    return "".join(f"{k} = {_render(pairs[k])}\n" for k in sorted(pairs))
+    return {key: _render(value) for key, value in pairs.items()}
+
+
+def effective_config_text(config: evaluate.ExperimentConfig) -> str:
+    """Flat dotted-key rendering of the merged configuration."""
+    return "".join(f"{k} = {v}\n" for k, v in sorted(_rendered_pairs(config).items()))
 
 
 def _write_effective_config(config: evaluate.ExperimentConfig, out: Path) -> None:
@@ -254,18 +271,12 @@ def cmd_train_ids(config: evaluate.ExperimentConfig) -> int:
 
 
 def cmd_train_gan(config: evaluate.ExperimentConfig) -> int:
-    """Train each cell's GAN as `evaluate` does, against the staged detectors."""
+    """Train each cell's GAN as `evaluate` does, against the detector `evaluate` trains."""
     out = Path(config.out_dir)
-    staged = {a: detectors.load_model(out / "models" / f"{a}.blob") for a in config.algorithms}
     inputs = _staged_inputs(config)
-    # Every staged detector's fingerprint is checked before any cell trains.
-    for algorithm, ids_model in staged.items():
-        detectors.check_schema(
-            ids_model.schema_fingerprint, inputs.fingerprint, f"staged {algorithm} detector"
-        )
-
-    for algorithm, ids_model in staged.items():
-        normal_labels = evaluate.label_normals(ids_model, inputs.gan_normals, inputs.fingerprint)
+    for algorithm in config.algorithms:
+        ids_model = evaluate.train_detector(inputs, config, algorithm)
+        normal_labels = evaluate.label_normals(ids_model, inputs.gan_normals)
         for attack in config.attacks:
             data = gan.TrainData(
                 normals=inputs.gan_normals,

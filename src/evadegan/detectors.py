@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .blob import load_blob, save_blob
+from .blob import save_blob
 
 LABEL_NORMAL = 0
 LABEL_ATTACK = 1
@@ -54,7 +54,7 @@ class SingleClassData(ValueError):
 
 
 class SchemaMismatch(ValueError):
-    """Raised when vectors were encoded under a different schema."""
+    """Raised when vectors do not have the width the model was fitted on."""
 
 
 class UnknownAlgorithm(ValueError):
@@ -83,11 +83,8 @@ class ClassifierModel:
             raise SchemaMismatch(f"expected (n, {n_features}) vectors, got {X.shape}")
         return X
 
-    # checkpoint plumbing
+    # blob and manifest outputs; nothing in the package reads them back
     def _arrays(self) -> dict:
-        raise NotImplementedError
-
-    def _load_arrays(self, arrays) -> None:
         raise NotImplementedError
 
     def manifest(self) -> dict:
@@ -159,10 +156,6 @@ class LinearSVM(ClassifierModel):
     def _arrays(self):
         return {"w": self.w, "b": np.array([self.b])}
 
-    def _load_arrays(self, arrays):
-        self.w = arrays["w"]
-        self.b = float(arrays["b"][0])
-
 
 class GaussianNB(ClassifierModel):
     """Gaussian Naive Bayes with a variance floor, computed in log domain."""
@@ -199,11 +192,6 @@ class GaussianNB(ClassifierModel):
 
     def _arrays(self):
         return {"mean": self.mean, "var": self.var, "log_prior": self.log_prior}
-
-    def _load_arrays(self, arrays):
-        self.mean = arrays["mean"]
-        self.var = arrays["var"]
-        self.log_prior = arrays["log_prior"]
 
 
 class MlpClassifier(ClassifierModel):
@@ -242,12 +230,6 @@ class MlpClassifier(ClassifierModel):
 
     def _arrays(self):
         return self.net.param_arrays()
-
-    def _load_arrays(self, arrays):
-        d = arrays["w0"].shape[1]
-        hidden = tuple(self.hyperparams["hidden"])
-        self.net = nn.Network((d, *hidden, 2), nn.make_rng(0))
-        self.net.load_param_arrays(arrays)
 
 
 def _softmax(logits):
@@ -289,10 +271,6 @@ class LogisticRegression(ClassifierModel):
 
     def _arrays(self):
         return {"w": self.w, "b": np.array([self.b])}
-
-    def _load_arrays(self, arrays):
-        self.w = arrays["w"]
-        self.b = float(arrays["b"][0])
 
 
 def _sigmoid(z):
@@ -449,10 +427,6 @@ class DecisionTree(ClassifierModel):
             "n_features": np.array([self.n_features])
         }
 
-    def _load_arrays(self, arrays):
-        self.tree = _tree_from_arrays(arrays, prefix="t")
-        self.n_features = int(arrays["n_features"][0])
-
 
 def _tree_to_arrays(tree, prefix):
     return {
@@ -462,16 +436,6 @@ def _tree_to_arrays(tree, prefix):
         f"{prefix}_right": tree.right.astype(float),
         f"{prefix}_leaf": tree.leaf_label.astype(float),
     }
-
-
-def _tree_from_arrays(arrays, prefix):
-    tree = _TreeArrays()
-    tree.feature = arrays[f"{prefix}_feature"].astype(int)
-    tree.threshold = arrays[f"{prefix}_threshold"]
-    tree.left = arrays[f"{prefix}_left"].astype(int)
-    tree.right = arrays[f"{prefix}_right"].astype(int)
-    tree.leaf_label = arrays[f"{prefix}_leaf"].astype(int)
-    return tree
 
 
 class RandomForest(ClassifierModel):
@@ -516,13 +480,6 @@ class RandomForest(ClassifierModel):
         for i, tree in enumerate(self.trees):
             arrays.update(_tree_to_arrays(tree, prefix=f"t{i}"))
         return arrays
-
-    def _load_arrays(self, arrays):
-        self.n_features = int(arrays["n_features"][0])
-        self.trees = [
-            _tree_from_arrays(arrays, prefix=f"t{i}")
-            for i in range(int(arrays["n_trees"][0]))
-        ]
 
 
 class KNearestNeighbors(ClassifierModel):
@@ -589,11 +546,6 @@ class KNearestNeighbors(ClassifierModel):
     def _arrays(self):
         return {"ref_X": self.ref_X, "ref_y": self.ref_y.astype(float)}
 
-    def _load_arrays(self, arrays):
-        self.ref_X = arrays["ref_X"]
-        self.ref_y = arrays["ref_y"].astype(int)
-        self.ref_sq = (self.ref_X * self.ref_X).sum(axis=1)
-
 
 _MODEL_CLASSES = {
     cls.algorithm: cls
@@ -631,35 +583,9 @@ def fit(
     return model
 
 
-def check_schema(trained: str | None, current: str | None, what: str = "model") -> None:
-    """Raise SchemaMismatch when both fingerprints are known and differ."""
-    if trained is not None and current is not None and trained != current:
-        raise SchemaMismatch(
-            f"{what} was trained under schema {trained}, "
-            f"but the vectors are encoded under schema {current}"
-        )
-
-
-def predict(model: ClassifierModel, X, schema_fingerprint: str | None = None) -> np.ndarray:
-    """Label a batch, optionally verifying the encoding schema fingerprint."""
-    check_schema(model.schema_fingerprint, schema_fingerprint, f"{model.algorithm} detector")
-    return model.predict(X)
-
-
 def save_model(model: ClassifierModel, path) -> None:
     """Write the model blob and a JSON manifest beside it."""
     model.save(path)
     Path(path).with_suffix(".manifest.json").write_text(
         json.dumps(model.manifest(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-
-
-def load_model(path) -> ClassifierModel:
-    arrays, meta = load_blob(path)
-    if meta.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format {meta.get('format_version')}")
-    cls = _MODEL_CLASSES[meta["algorithm"]]
-    hyper = meta["hyperparams"]
-    model = cls(hyper, meta["seed"], meta.get("schema_fingerprint"))
-    model._load_arrays(arrays)
-    return model

@@ -270,14 +270,14 @@ def train_cell_gan(
     return CellGan(mask=mask, generator=generator, critic=critic, history=history)
 
 
-def label_normals(model: detectors.ClassifierModel, normals, fingerprint: str) -> np.ndarray:
+def label_normals(model: detectors.ClassifierModel, normals) -> np.ndarray:
     """The detector's labels for the generator-half normals, made in one call.
 
     Every cell of the algorithm trains on these rows, so ``gan.train`` takes
     their labels from here and queries the detector only about its
     adversarial rows.
     """
-    return detectors.predict(model, normals, fingerprint)
+    return model.predict(normals)
 
 
 def train_detector(
@@ -285,8 +285,9 @@ def train_detector(
 ) -> detectors.ClassifierModel:
     """`algorithm`'s detector, trained on the detector half with the run's seed and hyperparameters.
 
-    ``evaluate`` and ``train-ids`` both train a detector here, so a staged
-    detector is the one the grid scores.
+    ``evaluate``, ``train-ids`` and ``train-gan`` all train a detector here,
+    so a staged detector, and the one a staged GAN attacks, is the one the
+    grid scores.
     """
     return detectors.fit(
         algorithm,
@@ -305,14 +306,11 @@ def fit_detector(inputs: _GridInputs, config: ExperimentConfig, algorithm: str) 
             if len(inputs.test_attacks[attack]) == 0:
                 raise EmptyEvaluationSet(f"no {attack} attack records in the test split")
         model = train_detector(inputs, config, algorithm)
-        original = {
-            attack: detectors.predict(model, inputs.test_attacks[attack], inputs.fingerprint)
-            for attack in config.attacks
-        }
+        original = {attack: model.predict(inputs.test_attacks[attack]) for attack in config.attacks}
         return FittedDetector(
             model=model,
             original_predictions=original,
-            normal_labels=label_normals(model, inputs.gan_normals, inputs.fingerprint),
+            normal_labels=label_normals(model, inputs.gan_normals),
         )
     except Exception as exc:
         raise ExperimentCellError(f"detector (algorithm={algorithm}): {exc}", exc) from exc
@@ -351,7 +349,7 @@ def run_cell(
         _, adversarial = gan.generate(
             trained.generator, test_X, trained.mask, inputs.schema, eval_noise
         )
-        adv_pred = detectors.predict(detector.model, adversarial, inputs.fingerprint)
+        adv_pred = detector.model.predict(adversarial)
         n_detected_adv = int((adv_pred == detectors.LABEL_ATTACK).sum())
         adversarial_dr = detection_rate(adv_pred)
 

@@ -11,7 +11,7 @@ import hashlib
 
 import numpy as np
 
-from .blob import load_blob, save_blob
+from .blob import save_blob
 
 
 class ShapeMismatch(ValueError):
@@ -173,14 +173,6 @@ class Network:
             arrays[f"b{k}"] = layer.bias
         return arrays
 
-    def load_param_arrays(self, arrays: dict) -> None:
-        for k, layer in enumerate(self.layers):
-            w, b = arrays[f"w{k}"], arrays[f"b{k}"]
-            if w.shape != layer.weights.shape or b.shape != layer.bias.shape:
-                raise ShapeMismatch(f"layer {k}: checkpoint shape {w.shape} != {layer.weights.shape}")
-            layer.weights[:] = w
-            layer.bias[:] = b
-
     @property
     def dims(self):
         return tuple([self.layers[0].in_dim] + [l.out_dim for l in self.layers])
@@ -231,15 +223,7 @@ def max_abs_param(net: Network) -> float:
 
 
 def save_network(net: Network, path, meta: dict | None = None) -> None:
-    """Checkpoint a network to a versioned blob with its layer dims."""
+    """Write a network's parameters to a versioned blob with its layer dims."""
     header = {"dims": list(net.dims)}
     header.update(meta or {})
     save_blob(path, net.param_arrays(), meta=header)
-
-
-def load_network(path):
-    """Restore a checkpointed network; returns (network, meta)."""
-    arrays, meta = load_blob(path)
-    net = Network(tuple(meta["dims"]), make_rng(0))
-    net.load_param_arrays(arrays)
-    return net, meta

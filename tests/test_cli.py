@@ -4,7 +4,6 @@ import hashlib
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from evadegan import detectors, evaluate, gan, nn, nslkdd
@@ -113,6 +112,13 @@ class TestConfigParsing:
             ("--set", "ids.algorithms="),
             ("--set", "attacks="),
             ("--set", "settings= , "),
+            # values effective.cfg cannot carry unchanged
+            ("--out", "r #1"),
+            ("--out", "#r"),
+            ("--out", " lead "),
+            ("--test", "trail.txt "),
+            ("--test", "t\t#1"),
+            ("--train", "line\nbreak.txt"),
         ],
         ids=lambda flags: flags[1],
     )
@@ -251,39 +257,39 @@ class TestStagedTraining:
         assert code == EXIT_OK
         config = evaluate.ExperimentConfig(train_path=str(corpus_dir / "test.txt"))
         fingerprint = evaluate.prepare_grid_inputs(config).fingerprint
-        assert detectors.load_model(out / "models" / "lr.blob").schema_fingerprint == fingerprint
+        manifest = json.loads((out / "models" / "lr.manifest.json").read_text())
+        assert manifest["schema_fingerprint"] == fingerprint
 
-    def test_train_ids_model_is_the_evaluate_detector(self, prepared, corpus_dir):
+    def test_train_ids_model_is_the_evaluate_detector(self, prepared, corpus_dir, tmp_path):
         code = run_cli(
             "train-ids", "--train", str(corpus_dir / "train.txt"),
-            "--out", str(prepared), "--seed", "5", "--ids", "lr",
+            "--out", str(prepared), "--seed", "5", "--ids", "lr,knn",
         )
         assert code == EXIT_OK
-        staged = detectors.load_model(prepared / "models" / "lr.blob")
         config = evaluate.ExperimentConfig(
-            train_path=str(corpus_dir / "train.txt"),
-            test_path=str(corpus_dir / "test.txt"),
-            master_seed=5,
-            algorithms=("lr",),
+            train_path=str(corpus_dir / "train.txt"), master_seed=5, algorithms=("lr", "knn")
         )
         inputs = evaluate.prepare_grid_inputs(config)
-        fitted = evaluate.fit_detector(inputs, config, "lr")
-        assert staged.seed == fitted.model.seed
-        for attack in config.attacks:
-            np.testing.assert_array_equal(
-                staged.predict(inputs.test_attacks[attack]),
-                fitted.original_predictions[attack],
+        for algorithm in config.algorithms:
+            detectors.save_model(
+                evaluate.train_detector(inputs, config, algorithm), tmp_path / f"{algorithm}.blob"
             )
+            for name in (f"{algorithm}.blob", f"{algorithm}.manifest.json"):
+                staged = (prepared / "models" / name).read_bytes()
+                assert staged == (tmp_path / name).read_bytes(), name
 
-    def test_train_gan_requires_ids_model(self, prepared, corpus_dir, capsys):
+    def test_train_gan_runs_in_a_fresh_out(self, corpus_dir, tmp_path):
+        """train-gan trains its own detector: it needs no train-ids run and writes no models/."""
+        out = tmp_path / "fresh"
         code = run_cli(
             "train-gan", "--train", str(corpus_dir / "train.txt"),
-            "--out", str(prepared), "--seed", "5",
+            "--out", str(out), "--seed", "5",
             "--ids", "nb", "--attack", "dos", "--setting", "functional_only",
             *FAST_GAN,
         )
-        assert code == EXIT_DATA
-        assert "nb.blob" in capsys.readouterr().err
+        assert code == EXIT_OK
+        assert (out / "gan" / "nb_dos_functional_only" / "trace.csv").exists()
+        assert not (out / "models").exists()
 
     def test_train_gan_writes_checkpoints_and_trace(self, prepared, corpus_dir):
         code = run_cli(
@@ -300,44 +306,36 @@ class TestStagedTraining:
         assert trace[0] == "epoch,loss_g,loss_d,probe_adv_dr"
         assert len(trace) == 1 + 3
 
-    def test_train_gan_rejects_stale_detector(self, corpus_dir, tmp_path, capsys):
-        """A detector staged under another split's schema is a data error, exit 3."""
-        out = tmp_path / "stale"
-        data = ["--train", str(corpus_dir / "train.txt"), "--out", str(out), "--ids", "lr"]
-        assert run_cli("prepare", *data, "--seed", "5") == EXIT_OK
-        assert run_cli("train-ids", *data, "--seed", "5") == EXIT_OK
-        staged = json.loads((out / "models" / "lr.manifest.json").read_text())
-        assert run_cli("prepare", *data, "--seed", "6") == EXIT_OK
-        current = hashlib.sha256((out / "schema.txt").read_bytes()).hexdigest()
-        assert staged["schema_fingerprint"] != current
-        capsys.readouterr()
-
-        code = run_cli("train-gan", *data, "--seed", "6", *FAST_GAN)
-        assert code == EXIT_DATA
-        err = capsys.readouterr().err
-        assert "lr" in err and staged["schema_fingerprint"] in err and current in err
-        assert not (out / "gan").exists()
-
     @pytest.mark.parametrize(
-        "algorithm,prepare_seed",
+        "algorithm,prepare_seed,ids_seed",
         [
-            pytest.param("lr", "5", id="lr"),
-            pytest.param("knn", "5", id="knn"),
-            pytest.param("lr", None, id="lr-no-prepare"),
-            pytest.param("knn", None, id="knn-no-prepare"),
-            pytest.param("lr", "6", id="lr-prepare-other-seed"),
-            pytest.param("knn", "6", id="knn-prepare-other-seed"),
+            pytest.param("lr", "5", "5", id="lr"),
+            pytest.param("knn", "5", "5", id="knn"),
+            pytest.param("lr", None, "5", id="lr-no-prepare"),
+            pytest.param("knn", None, "5", id="knn-no-prepare"),
+            pytest.param("lr", "6", "5", id="lr-prepare-other-seed"),
+            pytest.param("knn", "6", "5", id="knn-prepare-other-seed"),
+            pytest.param("lr", None, None, id="lr-no-train-ids"),
+            pytest.param("knn", None, "6", id="knn-train-ids-other-seed"),
         ],
     )
-    def test_staged_cells_reproduce_evaluate(self, corpus_dir, tmp_path, algorithm, prepare_seed):
-        """Each stage derives its split and schema from --train/--seed, whatever prepare wrote."""
+    def test_staged_cells_reproduce_evaluate(
+        self, corpus_dir, tmp_path, algorithm, prepare_seed, ids_seed
+    ):
+        """Each stage derives its split, schema and detector from --train/--seed.
+
+        Whatever prepare or train-ids wrote into the directory before, train-gan
+        trains the detector that evaluate trains.
+        """
         staged, graded = tmp_path / "staged", tmp_path / "graded"
         data = ["--train", str(corpus_dir / "train.txt"), *FAST_GAN, "--ids", algorithm]
         if prepare_seed is not None:
             code = run_cli("prepare", *data, "--seed", prepare_seed, "--out", str(staged))
             assert code == EXIT_OK
-        for command in ("train-ids", "train-gan"):
-            assert run_cli(command, *data, "--seed", "5", "--out", str(staged)) == EXIT_OK
+        if ids_seed is not None:
+            code = run_cli("train-ids", *data, "--seed", ids_seed, "--out", str(staged))
+            assert code == EXIT_OK
+        assert run_cli("train-gan", *data, "--seed", "5", "--out", str(staged)) == EXIT_OK
         code = run_cli(
             "evaluate", *data, "--seed", "5", "--test", str(corpus_dir / "test.txt"),
             "--out", str(graded),

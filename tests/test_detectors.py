@@ -18,8 +18,6 @@ from evadegan.detectors import (
     SchemaMismatch,
     SingleClassData,
     fit,
-    load_model,
-    predict,
     save_model,
 )
 
@@ -94,13 +92,6 @@ class TestPredictContract:
         X, y = toy_data
         model = fit("knn", X, y, seed=0, hyperparams={"k": 1})
         assert np.array_equal(model.predict(X), y)
-
-    def test_schema_fingerprint_checked(self, toy_data):
-        X, y = toy_data
-        model = fit("nb", X, y, seed=0, schema_fingerprint="abc")
-        assert np.array_equal(predict(model, X, "abc"), model.predict(X))
-        with pytest.raises(SchemaMismatch):
-            predict(model, X, "different")
 
     def test_wrong_width_rejected(self, toy_data):
         X, y = toy_data
@@ -180,18 +171,6 @@ class TestAlgorithmOracles:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_round_trip_predictions_identical(self, toy_data, algorithm, tmp_path):
-        X, y = toy_data
-        model = fit(algorithm, X, y, seed=13, schema_fingerprint="fp")
-        path = tmp_path / f"{algorithm}.blob"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.algorithm == algorithm
-        assert loaded.schema_fingerprint == "fp"
-        queries = np.random.default_rng(14).random((30, 41))
-        assert np.array_equal(loaded.predict(queries), model.predict(queries))
-
     def test_manifest_written(self, toy_data, tmp_path):
         X, y = toy_data
         model = fit("dt", X, y, seed=13)

@@ -263,15 +263,6 @@ class TestUniformNoise:
 
 
 class TestCheckpoint:
-    def test_network_round_trip(self, tmp_path):
-        net = Network((5, 4, 2), make_rng(3))
-        nn.save_network(net, tmp_path / "net.blob", {"role": "test"})
-        loaded, meta = nn.load_network(tmp_path / "net.blob")
-        assert meta["role"] == "test"
-        assert loaded.dims == net.dims
-        x = make_rng(4).random((3, 5))
-        assert np.array_equal(loaded.forward(x, cache=False), net.forward(x, cache=False))
-
     def test_derive_seed_stable_and_distinct(self):
         a = nn.derive_seed(42, "svm", "dos", "functional_only")
         b = nn.derive_seed(42, "svm", "dos", "functional_only")
@@ -332,16 +323,6 @@ class TestFlatBuffer:
         assert net.grads.any()
         net.zero_grad()
         assert all(not l.grad_weights.any() and not l.grad_bias.any() for l in net.layers)
-
-    def test_save_load_round_trip_bit_equal(self, tmp_path):
-        net = Network((50, 64, 96, 41), make_rng(3))
-        RmsProp(0.05).step([(net.params, make_rng(4).normal(size=net.params.size))])
-        nn.save_network(net, tmp_path / "net.blob")
-        loaded, _ = nn.load_network(tmp_path / "net.blob")
-        assert np.array_equal(loaded.params.view(np.uint64), net.params.view(np.uint64))
-        for mine, theirs in zip(loaded.layers, net.layers):
-            assert mine.weights.base is loaded.params
-            assert np.array_equal(mine.weights, theirs.weights)
 
 
 def unfused_rmsprop(p, cache, g, lr, rho, eps):
