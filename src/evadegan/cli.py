@@ -260,9 +260,10 @@ def cmd_train_ids(config: evaluate.ExperimentConfig) -> int:
     inputs = _staged_inputs(config)
     out = Path(config.out_dir)
     model_dir = out / "models"
-    model_dir.mkdir(parents=True, exist_ok=True)
     for algorithm in config.algorithms:
         model = evaluate.train_detector(inputs, config, algorithm)
+        # made only once a model is ready, so a data error leaves no directory
+        model_dir.mkdir(parents=True, exist_ok=True)
         detectors.save_model(model, model_dir / f"{algorithm}.blob")
         train_acc = float((model.predict(inputs.ids_X) == inputs.ids_y).mean())
         print(f"trained {algorithm}: train accuracy {train_acc:.4f}")

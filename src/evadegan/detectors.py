@@ -13,6 +13,10 @@ its generator-half normals in one call per detector. Each block's distances
 are then finished and ranked in slices of KNN_SLICE_ROWS rows; every row is
 finished and ranked on its own, so the slicing cannot change a label. Vote
 ties break toward "attack": the conservative call for a detector.
+
+Two pairs of models share one decision rule each. svm and lr label attack
+where ``x·w + b >= 0`` and differ only in their fit. dt is a forest of one
+unbagged tree: dt and rf walk one node store holding all their trees at once.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ DEFAULT_HYPERPARAMS = {
     "knn": {"k": 5, "max_reference": 20000},
 }
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 # Query rows per k-NN distance block (the GAN's critic batch is 128 rows).
 KNN_BLOCK_ROWS = 128
@@ -91,7 +95,7 @@ class ClassifierModel:
         return {
             "format_version": MODEL_FORMAT_VERSION,
             "algorithm": self.algorithm,
-            "hyperparams": _jsonable(self.hyperparams),
+            "hyperparams": self.hyperparams,
             "seed": self.seed,
             "schema_fingerprint": self.schema_fingerprint,
         }
@@ -100,24 +104,27 @@ class ClassifierModel:
         save_blob(path, self._arrays(), meta=self.manifest())
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (tuple, list)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
-
-
 def _to_signed(y):
     """{0,1} labels -> {-1,+1} with attack = +1."""
     return np.where(np.asarray(y) == LABEL_ATTACK, 1.0, -1.0)
 
 
-class LinearSVM(ClassifierModel):
+class AffineModel(ClassifierModel):
+    """Labels attack where ``x·w + b >= 0``; a subclass only fits ``w`` and ``b``."""
+
+    def decision_scores(self, X) -> np.ndarray:
+        X = self._check_input(X, self.w.shape[0])
+        return X @ self.w + self.b
+
+    def predict(self, X) -> np.ndarray:
+        # for lr, p >= 0.5 iff the affine score is >= 0
+        return np.where(self.decision_scores(X) >= 0.0, LABEL_ATTACK, LABEL_NORMAL)
+
+    def _arrays(self):
+        return {"w": self.w, "b": np.array([self.b])}
+
+
+class LinearSVM(AffineModel):
     """Linear SVM: constant-step subgradient descent on the L2-regularized hinge."""
 
     algorithm = "svm"
@@ -145,16 +152,6 @@ class LinearSVM(ClassifierModel):
                 self.w -= lr * grad_w
                 self.b -= lr * grad_b
         return self
-
-    def decision_scores(self, X) -> np.ndarray:
-        X = self._check_input(X, self.w.shape[0])
-        return X @ self.w + self.b
-
-    def predict(self, X) -> np.ndarray:
-        return np.where(self.decision_scores(X) >= 0.0, LABEL_ATTACK, LABEL_NORMAL)
-
-    def _arrays(self):
-        return {"w": self.w, "b": np.array([self.b])}
 
 
 class GaussianNB(ClassifierModel):
@@ -238,7 +235,7 @@ def _softmax(logits):
     return e / e.sum(axis=1, keepdims=True)
 
 
-class LogisticRegression(ClassifierModel):
+class LogisticRegression(AffineModel):
     """Plain logistic regression via shuffled mini-batch gradient descent."""
 
     algorithm = "lr"
@@ -261,17 +258,6 @@ class LogisticRegression(ClassifierModel):
                 self.b -= lr * err.mean()
         return self
 
-    def decision_scores(self, X) -> np.ndarray:
-        X = self._check_input(X, self.w.shape[0])
-        return X @ self.w + self.b
-
-    def predict(self, X) -> np.ndarray:
-        # p >= 0.5 iff the affine score is >= 0
-        return np.where(self.decision_scores(X) >= 0.0, LABEL_ATTACK, LABEL_NORMAL)
-
-    def _arrays(self):
-        return {"w": self.w, "b": np.array([self.b])}
-
 
 def _sigmoid(z):
     out = np.empty_like(z)
@@ -282,8 +268,8 @@ def _sigmoid(z):
     return out
 
 
-class _TreeArrays:
-    """Flat array representation of one fitted CART tree."""
+class _NodeStore:
+    """Every node of a forest's trees; child indices are absolute, -1 at a leaf."""
 
     __slots__ = ("feature", "threshold", "left", "right", "leaf_label")
 
@@ -308,7 +294,6 @@ class _TreeArrays:
         self.left = np.asarray(self.left, dtype=int)
         self.right = np.asarray(self.right, dtype=int)
         self.leaf_label = np.asarray(self.leaf_label, dtype=int)
-        return self
 
 
 def _gini_counts(n_attack, n_total):
@@ -355,14 +340,7 @@ def _leaf_label(y):
     return LABEL_ATTACK if n_attack * 2 >= len(y) else LABEL_NORMAL
 
 
-def _grow_tree(X, y, max_depth, min_leaf, feature_rng=None, features_per_split=None):
-    tree = _TreeArrays()
-    limits = (max_depth, min_leaf, feature_rng, features_per_split)
-    _grow_node(tree, X, y, np.arange(len(y)), 0, limits)
-    return tree.freeze()
-
-
-def _grow_node(tree, X, y, rows, depth, limits):
+def _grow_node(nodes, X, y, rows, depth, limits):
     """Grow the subtree over ``X[rows]`` in pre-order; returns its root node.
 
     A plain recursive function, not a closure over itself: such a closure is
@@ -370,10 +348,10 @@ def _grow_node(tree, X, y, rows, depth, limits):
     until the cyclic garbage collector next runs.
     """
     max_depth, min_leaf, feature_rng, features_per_split = limits
-    node = tree.add_node()
+    node = nodes.add_node()
     sub_y = y[rows]
     if depth >= max_depth or len(rows) < 2 * min_leaf or sub_y.min() == sub_y.max():
-        tree.leaf_label[node] = _leaf_label(sub_y)
+        nodes.leaf_label[node] = _leaf_label(sub_y)
         return node
     if feature_rng is not None:
         feats = np.sort(feature_rng.choice(X.shape[1], size=features_per_split, replace=False))
@@ -381,64 +359,71 @@ def _grow_node(tree, X, y, rows, depth, limits):
         feats = np.arange(X.shape[1])
     split = _best_split(X[rows], sub_y, feats, min_leaf)
     if split is None:
-        tree.leaf_label[node] = _leaf_label(sub_y)
+        nodes.leaf_label[node] = _leaf_label(sub_y)
         return node
     f, thr, _ = split
     go_left = X[rows, f] <= thr
-    tree.left[node] = _grow_node(tree, X, y, rows[go_left], depth + 1, limits)
-    tree.right[node] = _grow_node(tree, X, y, rows[~go_left], depth + 1, limits)
-    tree.feature[node] = f
-    tree.threshold[node] = thr
+    nodes.left[node] = _grow_node(nodes, X, y, rows[go_left], depth + 1, limits)
+    nodes.right[node] = _grow_node(nodes, X, y, rows[~go_left], depth + 1, limits)
+    nodes.feature[node] = f
+    nodes.threshold[node] = thr
     return node
 
 
-def _tree_predict(tree, X):
-    idx = np.zeros(X.shape[0], dtype=int)
-    while True:
-        internal = tree.leaf_label[idx] < 0
-        if not internal.any():
-            break
-        at = idx[internal]
-        go_left = X[internal, tree.feature[at]] <= tree.threshold[at]
-        idx[internal] = np.where(go_left, tree.left[at], tree.right[at])
-    return tree.leaf_label[idx]
+class ForestModel(ClassifierModel):
+    """Trees in one node store, one root each; the majority of their votes labels a row."""
+
+    def _grow(self, samples, feature_rng=None, features_per_split=None):
+        """Grow one tree per ``(X, y)`` sample, in order, into one node store."""
+        hp = self.hyperparams
+        limits = (hp["max_depth"], hp["min_leaf"], feature_rng, features_per_split)
+        self.nodes = _NodeStore()
+        roots = []
+        for X, y in samples:
+            roots.append(_grow_node(self.nodes, X, y, np.arange(len(y)), 0, limits))
+            # a forest's bootstrap sample is freed before the next is drawn
+            del X, y
+        self.nodes.freeze()
+        self.roots = np.asarray(roots, dtype=int)
+
+    def tree_votes(self, X) -> np.ndarray:
+        """Each tree's label for each row, shape (trees, rows): all trees walk together."""
+        X = self._check_input(X, self.n_features)
+        nodes = self.nodes
+        at = np.repeat(self.roots, X.shape[0])
+        row = np.tile(np.arange(X.shape[0]), len(self.roots))
+        walking = np.flatnonzero(nodes.leaf_label[at] < 0)
+        while walking.size:
+            here = at[walking]
+            go_left = X[row[walking], nodes.feature[here]] <= nodes.threshold[here]
+            at[walking] = np.where(go_left, nodes.left[here], nodes.right[here])
+            walking = walking[nodes.leaf_label[at[walking]] < 0]
+        return nodes.leaf_label[at].reshape(len(self.roots), X.shape[0])
+
+    def predict(self, X) -> np.ndarray:
+        attack = self.tree_votes(X).sum(axis=0)
+        # ties go to attack
+        return np.where(attack * 2 >= len(self.roots), LABEL_ATTACK, LABEL_NORMAL)
+
+    def _arrays(self):
+        """The flat layout: every node's fields, child indices absolute, and each tree's root."""
+        nodes = {name: getattr(self.nodes, name) for name in _NodeStore.__slots__}
+        return {"n_features": np.array([self.n_features]), "roots": self.roots} | nodes
 
 
-class DecisionTree(ClassifierModel):
-    """CART with Gini impurity, depth and leaf-size limits."""
+class DecisionTree(ForestModel):
+    """CART with Gini impurity, depth and leaf-size limits: one tree over all rows and features."""
 
     algorithm = "dt"
 
     def fit(self, X, y, rng):
         X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
         self.n_features = X.shape[1]
-        self.tree = _grow_tree(
-            X, y, self.hyperparams["max_depth"], self.hyperparams["min_leaf"]
-        )
+        self._grow([(X, np.asarray(y, dtype=int))])
         return self
 
-    def predict(self, X) -> np.ndarray:
-        X = self._check_input(X, self.n_features)
-        return _tree_predict(self.tree, X)
 
-    def _arrays(self):
-        return _tree_to_arrays(self.tree, prefix="t") | {
-            "n_features": np.array([self.n_features])
-        }
-
-
-def _tree_to_arrays(tree, prefix):
-    return {
-        f"{prefix}_feature": tree.feature.astype(float),
-        f"{prefix}_threshold": tree.threshold,
-        f"{prefix}_left": tree.left.astype(float),
-        f"{prefix}_right": tree.right.astype(float),
-        f"{prefix}_leaf": tree.leaf_label.astype(float),
-    }
-
-
-class RandomForest(ClassifierModel):
+class RandomForest(ForestModel):
     """Bagged CART trees with per-split feature subsampling, majority vote."""
 
     algorithm = "rf"
@@ -448,38 +433,19 @@ class RandomForest(ClassifierModel):
         y = np.asarray(y, dtype=int)
         n = X.shape[0]
         self.n_features = X.shape[1]
-        self.trees = []
-        for _ in range(self.hyperparams["n_trees"]):
-            rows = rng.integers(0, n, size=n)
-            self.trees.append(
-                _grow_tree(
-                    X[rows],
-                    y[rows],
-                    self.hyperparams["max_depth"],
-                    self.hyperparams["min_leaf"],
-                    feature_rng=rng,
-                    features_per_split=min(
-                        self.hyperparams["features_per_split"], self.n_features
-                    ),
-                )
-            )
+
+        def bootstraps():
+            # drawn lazily: each sample only once the previous tree is grown
+            for _ in range(self.hyperparams["n_trees"]):
+                rows = rng.integers(0, n, size=n)
+                yield X[rows], y[rows]
+
+        self._grow(
+            bootstraps(),
+            feature_rng=rng,
+            features_per_split=min(self.hyperparams["features_per_split"], self.n_features),
+        )
         return self
-
-    def tree_votes(self, X) -> np.ndarray:
-        X = self._check_input(X, self.n_features)
-        return np.stack([_tree_predict(t, X) for t in self.trees])
-
-    def predict(self, X) -> np.ndarray:
-        votes = self.tree_votes(X)
-        attack = votes.sum(axis=0)
-        # ties go to attack
-        return np.where(attack * 2 >= len(self.trees), LABEL_ATTACK, LABEL_NORMAL)
-
-    def _arrays(self):
-        arrays = {"n_features": np.array([self.n_features]), "n_trees": np.array([len(self.trees)])}
-        for i, tree in enumerate(self.trees):
-            arrays.update(_tree_to_arrays(tree, prefix=f"t{i}"))
-        return arrays
 
 
 class KNearestNeighbors(ClassifierModel):

@@ -55,14 +55,12 @@ class ExperimentCellError(RuntimeError):
         return type(self), (self.args[0], self.cause)
 
 
-def detection_rate(predictions, total: int | None = None) -> float:
+def detection_rate(predictions) -> float:
     """Fraction of ground-truth attack records that were labeled attack."""
     predictions = np.asarray(predictions)
-    if total is None:
-        total = len(predictions)
-    if total == 0:
+    if len(predictions) == 0:
         raise EmptyEvaluationSet("no attack records to evaluate")
-    return float((predictions == detectors.LABEL_ATTACK).sum() / total)
+    return float((predictions == detectors.LABEL_ATTACK).sum() / len(predictions))
 
 
 def evasion_increase_rate(original_dr: float, adversarial_dr: float) -> float:

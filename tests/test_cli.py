@@ -4,9 +4,10 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from evadegan import detectors, evaluate, gan, nn, nslkdd
+from evadegan import detectors, evaluate, gan, nn, nslkdd, synthetic
 from evadegan.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -277,6 +278,17 @@ class TestStagedTraining:
             for name in (f"{algorithm}.blob", f"{algorithm}.manifest.json"):
                 staged = (prepared / "models" / name).read_bytes()
                 assert staged == (tmp_path / name).read_bytes(), name
+
+    def test_failed_train_ids_leaves_no_directory(self, tmp_path):
+        rng = np.random.default_rng(0)
+        train = tmp_path / "normal_only.txt"
+        train.write_text(
+            "".join(synthetic.make_record_line(rng, "normal") + "\n" for _ in range(200))
+        )
+        out = tmp_path / "o1"
+        code = run_cli("train-ids", "--train", str(train), "--out", str(out), "--ids", "lr")
+        assert code == EXIT_DATA
+        assert not out.exists()
 
     def test_train_gan_runs_in_a_fresh_out(self, corpus_dir, tmp_path):
         """train-gan trains its own detector: it needs no train-ids run and writes no models/."""

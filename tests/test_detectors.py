@@ -143,24 +143,63 @@ class TestAlgorithmOracles:
         model = fit("rf", X, y, seed=4, hyperparams={"n_trees": 7})
         queries = np.random.default_rng(9).random((20, 41))
         votes = model.tree_votes(queries)
+        assert votes.shape == (7, 20) and len(model.roots) == 7
         expected = np.where(
-            votes.sum(axis=0) * 2 >= len(model.trees), LABEL_ATTACK, LABEL_NORMAL
+            votes.sum(axis=0) * 2 >= len(model.roots), LABEL_ATTACK, LABEL_NORMAL
         )
         assert np.array_equal(model.predict(queries), expected)
 
     def test_rf_even_tie_breaks_to_attack(self):
-        # two constant-leaf trees voting 1 and 0 -> attack wins
-        model = detectors.RandomForest(
-            dict(detectors.DEFAULT_HYPERPARAMS["rf"]), seed=0
-        )
-        X = np.array([[0.0] * 4, [1.0] * 4, [0.0] * 4, [1.0] * 4])
-        y = np.array([0, 1, 0, 1])
-        model.fit(X, y, np.random.default_rng(0))
-        model.trees = model.trees[:2]
-        t0, t1 = model.trees
-        t0.leaf_label = np.where(t0.leaf_label >= 0, LABEL_ATTACK, -1)
-        t1.leaf_label = np.where(t1.leaf_label >= 0, LABEL_NORMAL, -1)
+        # two one-leaf trees in the node store, voting 1 and 0 -> attack wins
+        model = detectors.RandomForest(dict(detectors.DEFAULT_HYPERPARAMS["rf"]), seed=0)
+        model.n_features = 4
+        model.nodes = detectors._NodeStore()
+        for label in (LABEL_ATTACK, LABEL_NORMAL):
+            model.nodes.leaf_label[model.nodes.add_node()] = label
+        model.nodes.freeze()
+        model.roots = np.array([0, 1])
+        assert model.tree_votes(np.array([[0.5] * 4]))[:, 0].tolist() == [1, 0]
         assert model.predict(np.array([[0.5] * 4]))[0] == LABEL_ATTACK
+
+    @pytest.mark.parametrize(
+        "algorithm,hyperparams",
+        [("dt", {"max_depth": 20, "min_leaf": 1}), ("rf", {"n_trees": 7})],
+    )
+    def test_tree_votes_match_a_per_row_walk(self, algorithm, hyperparams):
+        """The all-trees-at-once walk against one row walked down one tree at a time."""
+        rng = np.random.default_rng(21)
+        X = rng.random((400, 9))
+        X[:, :3] = np.round(X[:, :3], 1)  # ties on some columns, as encoded tokens give
+        y = (X[:, 0] + 0.5 * rng.random(400) > 0.7).astype(int)
+        model = fit(algorithm, X, y, seed=8, hyperparams=hyperparams)
+        nodes = model.nodes
+        # rows sitting exactly on a split's threshold must go left
+        internal = np.flatnonzero(nodes.leaf_label < 0)
+        on_split = rng.random((len(internal), 9))
+        on_split[np.arange(len(internal)), nodes.feature[internal]] = nodes.threshold[internal]
+        queries = np.vstack([X[:50], rng.random((50, 9)), on_split])
+        votes = model.tree_votes(queries)
+        assert votes.shape == (len(model.roots), len(queries))
+        for t, root in enumerate(model.roots):
+            for i, q in enumerate(queries):
+                node = root
+                while nodes.leaf_label[node] < 0:
+                    left = q[nodes.feature[node]] <= nodes.threshold[node]
+                    node = nodes.left[node] if left else nodes.right[node]
+                assert votes[t, i] == nodes.leaf_label[node]
+        assert np.array_equal(
+            model.predict(queries),
+            np.where(votes.sum(axis=0) * 2 >= len(model.roots), LABEL_ATTACK, LABEL_NORMAL),
+        )
+
+    def test_every_direct_subclass_defines_predict(self):
+        """The benchmark tracer wraps `predict` in each direct subclass's own body."""
+        subclasses = detectors.ClassifierModel.__subclasses__()
+        assert {detectors.AffineModel, detectors.ForestModel} <= set(subclasses)
+        for cls in subclasses:
+            assert "predict" in vars(cls), cls.__name__
+            for sub in cls.__subclasses__():
+                assert "predict" not in vars(sub), sub.__name__
 
     def test_knn_subsampling_capped_and_seeded(self, toy_data):
         X, y = toy_data

@@ -40,10 +40,6 @@ class TestDetectionRate:
         with pytest.raises(EmptyEvaluationSet):
             detection_rate(np.array([]))
 
-    def test_explicit_total(self):
-        preds = np.array([LABEL_ATTACK, LABEL_ATTACK, LABEL_NORMAL])
-        assert detection_rate(preds, total=4) == pytest.approx(0.5)
-
 
 class TestEvasionIncreaseRate:
     def test_published_dos_svm_cell(self):
