@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import detectors, evaluate, gan, nn, nslkdd
-from .masks import ABLATION, FUNCTIONAL_ONLY
+from .masks import ABLATION, FUNCTIONAL_ONLY, mask_for
 from .nslkdd import EmptyDataset, MalformedRecord, UnknownAttack, build_schema
 
 EXIT_OK = 0
@@ -41,6 +41,7 @@ DATA_ERRORS = (
     evaluate.EmptyEvaluationSet,
     detectors.SingleClassData,
     detectors.SchemaMismatch,
+    gan.TooFewAttacks,
 )
 
 _GAN_FIELDS = {
@@ -191,6 +192,15 @@ def build_run_config(args) -> evaluate.ExperimentConfig:
         raise ConfigError(f"gan: {exc}") from None
     if config.train_path is None:
         raise ConfigError("no training data path (data.train / --train)")
+    unbuildable = []
+    for attack in config.attacks:
+        for setting in config.settings:
+            try:
+                mask_for(evaluate.ATTACK_GROUPS[attack][0], setting)
+            except ValueError as exc:
+                unbuildable.append(f"{attack}/{setting} ({exc})")
+    if unbuildable:
+        raise ConfigError(f"the grid has cells with no constraint mask: {'; '.join(unbuildable)}")
     for key, text in _rendered_pairs(config).items():
         # effective.cfg must read every value back unchanged.
         if text != text.strip() or _COMMENT.search(text) or len(text.splitlines()) > 1:

@@ -33,6 +33,10 @@ class EmptyPartition(ValueError):
     """Raised when a critic batch has no predicted-normal or no predicted-attack rows."""
 
 
+class TooFewAttacks(ValueError):
+    """Raised when an attack group cannot spare a probe slice and still train."""
+
+
 @dataclass
 class TrainConfig:
     batch_size: int = 64
@@ -222,13 +226,14 @@ def train(
     if normal_labels.shape != (len(normals),):
         raise ValueError("normal_labels must hold one label per normal record")
 
-    # Hold out a probe slice from the training attacks for epoch monitoring.
+    # Hold out a probe slice from the training attacks for epoch monitoring:
+    # a fifth of them, so at least 5 leave a probe row and rows to train on.
+    if len(attacks) < 5:
+        raise TooFewAttacks(f"{len(attacks)} attack records to train on; at least 5 are needed")
     probe_n = min(config.probe_size, len(attacks) // 5)
     order = shuffle_rng.permutation(len(attacks))
     probe = attacks[order[:probe_n]]
     train_attacks = attacks[order[probe_n:]]
-    if len(train_attacks) == 0:
-        raise ValueError("no attack records left to train on")
 
     history = []
     for epoch in range(config.epochs):
@@ -280,8 +285,6 @@ def train(
 
 
 def _probe_detection_rate(gen, ids_model, probe, mask, schema, probe_rng) -> float:
-    if len(probe) == 0:
-        return float("nan")
     _, disc = generate(gen, probe, mask, schema, probe_rng)
     labels = ids_model.predict(disc)
     return float((labels == detectors.LABEL_ATTACK).mean())

@@ -1,13 +1,14 @@
 """Small deterministic neural-network engine on numpy float64.
 
-Just the pieces the adversarial pipeline needs: dense linear layers with
-manual gradients, ReLU chains, RMSProp, weight clipping and a seeded PCG64
-noise stream. No autodiff graph.
+Just the pieces the adversarial pipeline needs: a chain of dense layers
+with ReLU between them and manual gradients, RMSProp, weight clipping and a
+seeded PCG64 noise stream. No autodiff graph.
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,106 +39,69 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-class LinearLayer:
-    """Dense layer y = x W^T + b with gradients filled by backward().
+class Layer(NamedTuple):
+    """One layer's views into its Network's ``params`` and ``grads``."""
 
-    A layer owns its arrays until a Network moves them into its flat buffers.
-    """
-
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
-        bound = np.sqrt(1.0 / in_dim)
-        self.weights = rng.uniform(-bound, bound, size=(out_dim, in_dim))
-        self.bias = rng.uniform(-bound, bound, size=out_dim)
-        self.grad_weights = np.zeros_like(self.weights)
-        self.grad_bias = np.zeros_like(self.bias)
-        self._input = None
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
-
-    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise ShapeMismatch(f"expected (n, {self.in_dim}) input, got {x.shape}")
-        if cache:
-            self._input = x
-        out = x @ self.weights.T
-        out += self.bias
-        return out
-
-    def backward(
-        self, upstream: np.ndarray, param_grads: bool = True, input_grad: bool = True
-    ) -> np.ndarray | None:
-        """Gradient w.r.t. the input (None without `input_grad`).
-
-        With `param_grads`, also accumulate W and b grads.
-        """
-        if self._input is None:
-            raise NoCachedForward("backward before forward")
-        upstream = np.asarray(upstream, dtype=float)
-        if param_grads:
-            self.grad_weights += upstream.T @ self._input
-            self.grad_bias += upstream.sum(axis=0)
-        return upstream @ self.weights if input_grad else None
-
-
-def relu_forward(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return np.maximum(0.0, np.asarray(x, dtype=float), out=out)
+    weights: np.ndarray
+    bias: np.ndarray
+    grad_weights: np.ndarray
+    grad_bias: np.ndarray
 
 
 class Network:
-    """A fixed chain of LinearLayers with ReLU between the hidden ones.
+    """A fixed chain of dense layers y = x W^T + b, with ReLU between them.
 
-    ``dims`` gives the layer sizes, e.g. (50, 64, 41) builds two linear
-    layers. ReLU follows every layer except the last.
+    ``dims`` gives the layer sizes, e.g. (50, 64, 41) builds two layers.
+    ReLU follows every layer except the last.
 
     All parameters live in one flat float64 array, ``params``, and all
-    gradients in another, ``grads``: each layer's ``weights``, ``bias`` and
-    ``grad_*`` are C-contiguous views into them (w0, b0, w1, b1, ...), so
-    an optimiser step, a clip or a zeroing is one array operation. Write
-    layer parameters in place (``layer.weights[:] = ...``); rebinding the
-    attribute detaches it from the buffer.
+    gradients in another, ``grads`` (w0, b0, w1, b1, ...), so an optimiser
+    step, a clip or a zeroing is one array operation. ``layers`` holds one
+    read-only `Layer` of C-contiguous views into them per layer; write
+    through the views in place (``layer.weights[:] = ...``).
     """
 
     def __init__(self, dims, rng: np.random.Generator):
         if len(dims) < 2:
             raise ValueError("need at least input and output dims")
-        self.layers = [
-            LinearLayer(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)
-        ]
-        size = sum(layer.weights.size + layer.bias.size for layer in self.layers)
+        self.dims = tuple(int(d) for d in dims)
+        size = sum((n_in + 1) * n_out for n_in, n_out in zip(self.dims, self.dims[1:]))
         self.params = np.empty(size)
         self.grads = np.zeros(size)
-        offset = 0
-        for layer in self.layers:
-            for name in ("weights", "bias"):
-                value = getattr(layer, name)
-                end = offset + value.size
-                view = self.params[offset:end].reshape(value.shape)
-                view[...] = value
-                setattr(layer, name, view)
-                setattr(layer, f"grad_{name}", self.grads[offset:end].reshape(value.shape))
-                offset = end
-        self._acts = None
+        layers = []
+        start = 0
+        for n_in, n_out in zip(self.dims, self.dims[1:]):
+            mid, end = start + n_in * n_out, start + (n_in + 1) * n_out
+            layer = Layer(
+                self.params[start:mid].reshape(n_out, n_in),
+                self.params[mid:end],
+                self.grads[start:mid].reshape(n_out, n_in),
+                self.grads[mid:end],
+            )
+            bound = np.sqrt(1.0 / n_in)
+            layer.weights[...] = rng.uniform(-bound, bound, size=(n_out, n_in))
+            layer.bias[...] = rng.uniform(-bound, bound, size=n_out)
+            layers.append(layer)
+            start = end
+        self.layers = tuple(layers)
+        self._inputs = None  # each layer's input in the last cached forward
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
-        acts = []
         out = np.asarray(x, dtype=float)
+        if out.ndim != 2 or out.shape[1] != self.dims[0]:
+            raise ShapeMismatch(f"expected (n, {self.dims[0]}) input, got {out.shape}")
+        inputs = []
         last = len(self.layers) - 1
         for k, layer in enumerate(self.layers):
-            out = layer.forward(out, cache=cache)
+            inputs.append(out)
+            out = out @ layer.weights.T
+            out += layer.bias
             if k < last:
-                # In place: the pre-activation is needed only as the mask
-                # ``pre > 0``, which the ReLU output gives exactly.
-                out = relu_forward(out, out=out)
-                acts.append(out)
+                # In place: backward needs the pre-activation only as the
+                # mask ``pre > 0``, which the ReLU output gives exactly.
+                np.maximum(0.0, out, out=out)
         if cache:
-            self._acts = acts
+            self._inputs = inputs
         return out
 
     def backward(
@@ -150,13 +114,19 @@ class Network:
         Without `input_grad` the first layer skips the product that only
         the input gradient needs.
         """
-        if self._acts is None:
+        inputs = self._inputs
+        if inputs is None:
             raise NoCachedForward("backward before forward")
         grad = np.asarray(upstream, dtype=float)
-        for k in range(len(self.layers) - 1, -1, -1):
-            if k < len(self.layers) - 1:
-                grad = grad * (self._acts[k] > 0.0)
-            grad = self.layers[k].backward(grad, param_grads, input_grad or k > 0)
+        last = len(self.layers) - 1
+        for k in range(last, -1, -1):
+            layer = self.layers[k]
+            if k < last:
+                grad = grad * (inputs[k + 1] > 0.0)
+            if param_grads:
+                np.add(layer.grad_weights, grad.T @ inputs[k], out=layer.grad_weights)
+                np.add(layer.grad_bias, grad.sum(axis=0), out=layer.grad_bias)
+            grad = grad @ layer.weights if input_grad or k > 0 else None
         return grad
 
     def zero_grad(self) -> None:
@@ -172,10 +142,6 @@ class Network:
             arrays[f"w{k}"] = layer.weights
             arrays[f"b{k}"] = layer.bias
         return arrays
-
-    @property
-    def dims(self):
-        return tuple([self.layers[0].in_dim] + [l.out_dim for l in self.layers])
 
 
 class RmsProp:

@@ -133,6 +133,23 @@ class TestConfigParsing:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--attack", "probe", "--setting", "ablation"), ("--attack", "dos,probe")],
+        ids=["probe-ablation", "default-settings"],
+    )
+    def test_grid_cell_without_mask_is_config_error(self, tmp_path, capsys, flags):
+        """probe has no ablation feature list; the grid is refused before any file is read."""
+        out = tmp_path / "o"
+        code = run_cli(
+            "evaluate", "--train", str(tmp_path / "missing.txt"),
+            "--test", str(tmp_path / "missing.txt"), "--out", str(out), *flags,
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "probe/ablation" in err and "dos/" not in err and "functional_only" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("with_test", [True, False], ids=["test", "no-test"])
     @pytest.mark.parametrize("command", ["prepare", "train-ids", "train-gan", "evaluate"])
     def test_effective_config_round_trips(self, tmp_path, corpus_dir, command, with_test):
@@ -467,3 +484,42 @@ class TestCellErrorExitCodes:
                 *FAST_GAN,
             )
         assert isinstance(info.value.cause, nn.ShapeMismatch)
+
+
+class TestTooFewAttackRecords:
+    """An attack group needs 5 generator-half records: a probe row and rows to train on."""
+
+    @pytest.fixture(scope="class")
+    def trains(self, corpus_dir, tmp_path_factory):
+        """Train files keeping 0 and 6 of the corpus's r2l records and none of its u2r ones."""
+        lines = (corpus_dir / "train.txt").read_text().splitlines()
+        r2l = nslkdd.AttackCategory.R2L
+        out = {}
+        for kept in (0, 6):
+            rows, n = [], 0
+            for line in lines:
+                category = nslkdd.map_attack(line.split(",")[41])
+                if category in (r2l, nslkdd.AttackCategory.U2R):
+                    if category != r2l or n == kept:
+                        continue
+                    n += 1
+                rows.append(line)
+            assert n == kept
+            out[kept] = tmp_path_factory.mktemp("few") / "train.txt"
+            out[kept].write_text("\n".join(rows) + "\n")
+        return out
+
+    @pytest.mark.parametrize("command", ["evaluate", "train-gan"])
+    @pytest.mark.parametrize("kept", [0, 6])
+    def test_exits_with_data_error(self, trains, corpus_dir, tmp_path, capsys, command, kept):
+        _, generator_half = nslkdd.split_train(nslkdd.load_file(trains[kept]), 5)
+        n_group = int(generator_half.is_in(evaluate.ATTACK_GROUPS["u2r_r2l"]).sum())
+        assert n_group == 0 if kept == 0 else 1 <= n_group <= 4
+        test = ("--test", str(corpus_dir / "test.txt")) if command == "evaluate" else ()
+        code = run_cli(
+            command, "--train", str(trains[kept]), *test, "--out", str(tmp_path / "o"),
+            "--seed", "5", "--ids", "nb", "--attack", "u2r_r2l",
+            "--setting", "functional_only", *FAST_GAN,
+        )
+        assert code == EXIT_DATA
+        assert f"{n_group} attack records to train on; at least 5" in capsys.readouterr().err

@@ -1,7 +1,10 @@
-"""The round summary of scripts/full_shape.py: quartiles, wins and digest agreement."""
+"""scripts/full_shape.py's output handling: a child's last line, the round summary and the memory comparison."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 _PATH = Path(__file__).resolve().parent.parent / "scripts" / "full_shape.py"
 _spec = importlib.util.spec_from_file_location("full_shape", _PATH)
@@ -14,9 +17,17 @@ def side(epoch, history="h1"):
         "ingest_s": 0.7,
         "knn_fit_s": 9.0,
         "knn_dos_epoch_s": epoch,
-        "ingest_maxrss_mb": 200.0,
-        "end_maxrss_mb": 250.0,
         "digests": {"inputs": "i", "labels": "l", "history": history, "parameters": "p"},
+    }
+
+
+def memory(detector_mb, digest="ab"):
+    return {
+        "algorithm": "knn",
+        "ingest_maxrss_mb": 250.0,
+        "detector_mb": detector_mb,
+        "labels_sha256": digest,
+        "n_labels": 10,
     }
 
 
@@ -40,3 +51,27 @@ def test_digest_mismatch_and_failed_rounds():
     assert summary["digests"]["history"]["equal"] is False
     assert summary["digests"]["inputs"]["equal"] is True
     assert full_shape.summarize(rounds[1:]) == {"rounds": 0}
+
+
+def test_last_line_is_the_measurement():
+    for record, keys in ((memory(12.5), full_shape.MEMORY_KEYS), (side(3.0), full_shape.EPOCH_KEYS)):
+        stdout = "a warning\n" + json.dumps(record) + "\n"
+        assert full_shape.parse_child_output(stdout, keys) == record
+
+
+@pytest.mark.parametrize("stdout", ["", "\n", json.dumps({"algorithm": "knn"}), "not json"])
+def test_empty_or_partial_output_rejected(stdout):
+    with pytest.raises(ValueError):
+        full_shape.parse_child_output(stdout, full_shape.MEMORY_KEYS)
+
+
+def test_compare_ratio_and_label_equality():
+    entry = full_shape.compare(memory(50.0), memory(25.0))
+    assert entry["detector_ratio"] == 0.5
+    assert entry["labels_equal"] is True
+    assert full_shape.compare(memory(50.0), memory(25.0, digest="cd"))["labels_equal"] is False
+
+
+def test_compare_with_failed_side():
+    entry = full_shape.compare({"error": "exit 1"}, memory(25.0))
+    assert "detector_ratio" not in entry and "labels_equal" not in entry

@@ -335,6 +335,19 @@ class TestTrain:
         with pytest.raises(ValueError, match="one label per normal"):
             train(gen, critic, ids_model, data, mask, schema, config)
 
+    def test_needs_five_attack_records(self, dos_setup, dos_data, schema):
+        normals, attacks, mask, ids_model = dos_setup
+        config = self.small_config(epochs=1)
+        for n in (0, 4):
+            data = TrainData(dos_data.normals, dos_data.normal_labels, attacks[:n])
+            gen = build_generator(config, nn.make_rng(60))
+            critic = build_critic(config, nn.make_rng(61))
+            with pytest.raises(gan.TooFewAttacks, match=f"^{n} attack records"):
+                train(gen, critic, ids_model, data, mask, schema, config)
+        data = TrainData(dos_data.normals, dos_data.normal_labels, attacks[:5])
+        (stats,) = train(gen, critic, ids_model, data, mask, schema, config)
+        assert np.isfinite(stats.probe_adv_dr)
+
     def test_trace_csv_round_trip(self, dos_setup, dos_data, schema, tmp_path):
         normals, attacks, mask, ids_model = dos_setup
         config = self.small_config(epochs=2)

@@ -1,11 +1,10 @@
-"""Numerics core: layers, backprop, RMSProp, clipping, noise."""
+"""Numerics core: the network's forward and backward, RMSProp, clipping, noise."""
 
 import numpy as np
 import pytest
 
 from evadegan import nn
 from evadegan.nn import (
-    LinearLayer,
     Network,
     NoCachedForward,
     NonPositiveClip,
@@ -13,7 +12,6 @@ from evadegan.nn import (
     ShapeMismatch,
     clip_network,
     make_rng,
-    relu_forward,
 )
 
 # layer shapes used by the adversarial pipeline (generator, critic, detector MLP)
@@ -40,51 +38,41 @@ def naive_matmul(x, w, b):
 
 class TestLinearForward:
     def test_identity_layer(self):
-        layer = LinearLayer(3, 3, make_rng(0))
-        layer.weights = np.eye(3)
-        layer.bias = np.zeros(3)
+        net = Network((3, 3), make_rng(0))
+        net.layers[0].weights[:] = np.eye(3)
+        net.layers[0].bias[:] = 0.0
         x = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(layer.forward(x, cache=False), x)
+        assert np.array_equal(net.forward(x, cache=False), x)
 
     def test_hand_example(self):
-        layer = LinearLayer(2, 1, make_rng(0))
-        layer.weights = np.array([[3.0, 4.0]])
-        layer.bias = np.array([1.0])
-        assert layer.forward(np.array([[1.0, 2.0]]), cache=False)[0, 0] == 12.0
+        net = Network((2, 1), make_rng(0))
+        net.layers[0].weights[:] = [[3.0, 4.0]]
+        net.layers[0].bias[:] = 1.0
+        assert net.forward(np.array([[1.0, 2.0]]), cache=False)[0, 0] == 12.0
 
     def test_against_naive_multiply(self):
         rng = make_rng(7)
-        layer = LinearLayer(4, 3, rng)
+        net = Network((4, 3), rng)
         x = rng.normal(size=(5, 4))
-        expected = naive_matmul(x, layer.weights, layer.bias)
-        assert np.allclose(layer.forward(x, cache=False), expected, atol=1e-12)
+        expected = naive_matmul(x, net.layers[0].weights, net.layers[0].bias)
+        assert np.allclose(net.forward(x, cache=False), expected, atol=1e-12)
 
     def test_shape_mismatch(self):
-        layer = LinearLayer(4, 3, make_rng(0))
-        with pytest.raises(ShapeMismatch):
-            layer.forward(np.zeros((2, 5)), cache=False)
-
-
-class TestRelu:
-    def test_elementwise(self):
-        assert np.array_equal(relu_forward(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
-
-    def test_all_negative(self):
-        assert np.array_equal(relu_forward(-np.ones(4)), np.zeros(4))
-
-    def test_idempotent(self):
-        x = make_rng(1).normal(size=(3, 5))
-        assert np.array_equal(relu_forward(relu_forward(x)), relu_forward(x))
+        net = Network((4, 3), make_rng(0))
+        for bad in (np.zeros((2, 5)), np.zeros(4)):
+            with pytest.raises(ShapeMismatch):
+                net.forward(bad, cache=False)
 
 
 class TestBackward:
     def test_single_layer_scalar_grad(self):
         # y = w.x, dL/dw = x when dL/dy = 1
-        layer = LinearLayer(3, 1, make_rng(0))
+        net = Network((3, 1), make_rng(0))
+        layer = net.layers[0]
         layer.bias[:] = 0.0
         x = np.array([[1.0, 2.0, 3.0]])
-        layer.forward(x)
-        layer.backward(np.array([[1.0]]))
+        net.forward(x)
+        net.backward(np.array([[1.0]]))
         assert np.array_equal(layer.grad_weights, x)
         assert np.array_equal(layer.grad_bias, [1.0])
 
@@ -225,7 +213,7 @@ class TestClipWeights:
 
     def test_idempotent(self):
         net, layer = one_layer(3, 3, 2)
-        layer.weights *= 10
+        layer.weights[:] *= 10
         clip_network(net, 0.01)
         snapshot = layer.weights.copy()
         clip_network(net, 0.01)
@@ -274,7 +262,7 @@ class TestCheckpoint:
 def test_clip_network_bounds_everything():
     net = Network((4, 8, 1), make_rng(6))
     for layer in net.layers:
-        layer.weights *= 100
+        layer.weights[:] *= 100
     clip_network(net, 0.01)
     assert nn.max_abs_param(net) <= 0.01
 
@@ -302,11 +290,20 @@ class TestFlatBuffer:
         """The buffer holds the per-layer RNG draws, in their old order."""
         net = Network(dims, make_rng(9))
         rng = make_rng(9)
-        expected = [LinearLayer(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
-        for layer, ref in zip(net.layers, expected):
-            assert np.array_equal(layer.weights, ref.weights)
-            assert np.array_equal(layer.bias, ref.bias)
+        for layer, n_in, n_out in zip(net.layers, dims, dims[1:]):
+            bound = np.sqrt(1.0 / n_in)
+            assert np.array_equal(layer.weights, rng.uniform(-bound, bound, size=(n_out, n_in)))
+            assert np.array_equal(layer.bias, rng.uniform(-bound, bound, size=n_out))
         assert not net.grads.any()
+
+    def test_layers_cannot_be_rebound(self):
+        """A rebound view would leave the buffer, so the layer records refuse it."""
+        net = Network((5, 4, 3), make_rng(1))
+        with pytest.raises(AttributeError):
+            net.layers[0].weights = np.zeros((4, 5))
+        with pytest.raises(TypeError):
+            net.layers[0] = net.layers[1]
+        assert net.layers[0].weights.base is net.params
 
     def test_layer_writes_show_in_parameters(self):
         net = Network((5, 4, 3), make_rng(1))
@@ -383,3 +380,52 @@ def test_backward_without_input_grad(dims):
     assert net.backward(upstream, input_grad=False) is None
     assert np.array_equal(net.grads, grads_after_full)
     assert grads_after_full.any()
+
+
+def reference_pass(layers, x, upstream, grads, param_grads, input_grad):
+    """The per-layer math as plain expressions, with fresh arrays throughout.
+
+    ``layers`` and ``grads`` are lists of (W, b) pairs; returns (output,
+    input gradient or None, the parameter gradients after accumulation).
+    """
+    inputs, out = [], x
+    for k, (w, b) in enumerate(layers):
+        inputs.append(out)
+        out = out @ w.T + b
+        if k < len(layers) - 1:
+            out = np.maximum(0.0, out)
+    grads = list(grads)
+    grad = upstream
+    for k in range(len(layers) - 1, -1, -1):
+        if k < len(layers) - 1:
+            grad = grad * (inputs[k + 1] > 0.0)
+        if param_grads:
+            grads[k] = (grads[k][0] + grad.T @ inputs[k], grads[k][1] + grad.sum(axis=0))
+        grad = grad @ layers[k][0] if input_grad or k > 0 else None
+    return out, grad, grads
+
+
+@pytest.mark.parametrize("dims", PIPELINE_DIMS)
+def test_forward_backward_bit_equal_to_reference(dims):
+    """From the initial parameters, every output and gradient equals the plain math bit for bit."""
+    rng = make_rng(41)
+    net = Network(dims, rng)
+    layers = [(l.weights.copy(), l.bias.copy()) for l in net.layers]
+    x = rng.random((24, dims[0]))
+    upstream = rng.normal(size=(24, dims[-1]))
+    for param_grads in (True, False):
+        for input_grad in (True, False):
+            net.grads[:] = rng.normal(size=net.grads.size)
+            start = [(l.grad_weights.copy(), l.grad_bias.copy()) for l in net.layers]
+            out, grad_in, grads = reference_pass(
+                layers, x, upstream, start, param_grads, input_grad
+            )
+            assert np.array_equal(net.forward(x, cache=False), out)
+            assert np.array_equal(net.forward(x), out)
+            result = net.backward(upstream, param_grads=param_grads, input_grad=input_grad)
+            assert (result is None) == (grad_in is None)
+            assert grad_in is None or np.array_equal(result, grad_in)
+            for layer, (gw, gb) in zip(net.layers, grads):
+                assert np.array_equal(layer.grad_weights, gw)
+                assert np.array_equal(layer.grad_bias, gb)
+    assert all(np.array_equal(l.weights, w) for l, (w, _) in zip(net.layers, layers))
