@@ -295,9 +295,10 @@ def cmd_train_gan(config: evaluate.ExperimentConfig) -> int:
                 attacks=inputs.gan_attacks[attack],
             )
             for setting in config.settings:
-                cell = evaluate.train_cell_gan(
-                    config, algorithm, attack, setting, ids_model, data, inputs.schema
-                )
+                with evaluate.cell_errors(algorithm, attack, setting):
+                    cell = evaluate.train_cell_gan(
+                        config, algorithm, attack, setting, ids_model, data, inputs.schema
+                    )
                 cell_dir = out / "gan" / f"{algorithm}_{attack}_{setting}"
                 cell_dir.mkdir(parents=True, exist_ok=True)
                 nn.save_network(cell.generator, cell_dir / "generator.blob", {"role": "generator"})

@@ -21,7 +21,7 @@ import numpy as np
 from . import detectors, gan, nn
 from .masks import ABLATION, FUNCTIONAL_ONLY, FeatureMask, mask_for
 from .nslkdd import AttackCategory, FeatureSchema, Records, build_schema, encode_batch
-from .nslkdd import load_file, split_train
+from .nslkdd import load_file, split_indices
 
 ATTACK_GROUPS = {
     "dos": (AttackCategory.DOS,),
@@ -199,28 +199,42 @@ def detector_labels(records: Records) -> np.ndarray:
 def prepare_grid_inputs(config: ExperimentConfig) -> _GridInputs:
     """Split, schema and encoded matrices of a run, derived from its train file and seed.
 
-    The test file is read only when ``config.test_path`` is set; the staged
-    commands train without one, and their ``test_attacks`` is empty.
+    The test file is read only when ``config.test_path`` is set, after the
+    train file's matrices are made; the staged commands train without one,
+    and their ``test_attacks`` is empty.
     """
     train = load_file(config.train_path)
-    test = None if config.test_path is None else load_file(config.test_path)
-    ids_half, gan_half = split_train(train, config.master_seed)
-
+    ids_rows, gan_rows = split_indices(train, config.master_seed)
     # Ranges and vocabularies come from the detector training half only.
-    schema = build_schema(ids_half)
+    schema = build_schema(train.take(ids_rows))
 
-    gan_X = encode_batch(gan_half, schema)
+    ids_y = detector_labels(train)[ids_rows]
+    normal_rows = gan_rows[train.is_in((AttackCategory.NORMAL,))[gan_rows]]
+    attack_rows = {
+        name: gan_rows[train.is_in(group)[gan_rows]] for name, group in ATTACK_GROUPS.items()
+    }
+    # Encoding works row by row, so the halves are rows of one encoded train
+    # matrix. The records go before the halves are cut, and the test file is
+    # read once that matrix has gone too, so ingest holds two value matrices
+    # at most.
+    train_X = encode_batch(train, schema)
+    del train
+    ids_X, gan_normals = train_X[ids_rows], train_X[normal_rows]
+    gan_attacks = {name: train_X[rows] for name, rows in attack_rows.items()}
+    del train_X
+
     test_attacks = {}
-    if test is not None:
+    if config.test_path is not None:
+        test = load_file(config.test_path)
         test_X = encode_batch(test, schema)
         test_attacks = {name: test_X[test.is_in(group)] for name, group in ATTACK_GROUPS.items()}
     return _GridInputs(
         schema=schema,
         fingerprint=schema.fingerprint(),
-        ids_X=encode_batch(ids_half, schema),
-        ids_y=detector_labels(ids_half),
-        gan_normals=gan_X[gan_half.is_in((AttackCategory.NORMAL,))],
-        gan_attacks={name: gan_X[gan_half.is_in(group)] for name, group in ATTACK_GROUPS.items()},
+        ids_X=ids_X,
+        ids_y=ids_y,
+        gan_normals=gan_normals,
+        gan_attacks=gan_attacks,
         test_attacks=test_attacks,
     )
 
@@ -314,6 +328,16 @@ def fit_detector(inputs: _GridInputs, config: ExperimentConfig, algorithm: str) 
         raise ExperimentCellError(f"detector (algorithm={algorithm}): {exc}", exc) from exc
 
 
+@contextmanager
+def cell_errors(algorithm: str, attack: str, setting: str):
+    """Re-raise a failure inside as an ExperimentCellError that names the cell."""
+    try:
+        yield
+    except Exception as exc:
+        cell = f"cell (algorithm={algorithm}, attack={attack}, setting={setting})"
+        raise ExperimentCellError(f"{cell}: {exc}", exc) from exc
+
+
 def run_cell(
     inputs: _GridInputs,
     config: ExperimentConfig,
@@ -325,8 +349,7 @@ def run_cell(
 
     Returns (EvalRow, per-epoch training history).
     """
-    cell = f"(algorithm={algorithm}, attack={attack}, setting={setting})"
-    try:
+    with cell_errors(algorithm, attack, setting):
         detector = inputs.detectors[algorithm]
         test_X = inputs.test_attacks[attack]
         original_pred = detector.original_predictions[attack]
@@ -365,8 +388,6 @@ def run_cell(
             low_confidence=original_dr < LOW_CONFIDENCE_DR,
         )
         return row, trained.history
-    except Exception as exc:
-        raise ExperimentCellError(f"cell {cell}: {exc}", exc) from exc
 
 
 def _fit_task(inputs, config, algorithm):

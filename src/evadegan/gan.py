@@ -76,10 +76,18 @@ class TrainConfig:
 
 @dataclass
 class EpochStats:
+    """One epoch's trace row.
+
+    ``critic_updates`` counts the d-steps that updated the critic and
+    ``skipped_critic_updates`` those skipped because the detector gave their
+    whole batch one label; ``loss_d`` is NaN exactly when no d-step updated.
+    """
+
     epoch: int
     loss_g: float
     loss_d: float
     probe_adv_dr: float
+    critic_updates: int = 0
     skipped_critic_updates: int = 0
 
 
@@ -205,9 +213,12 @@ def train(
     detector's own predictions, never by ground truth: the normals by
     ``data.normal_labels``, the adversarial rows by a query. Critic
     parameters are clipped to ``[-clip_c, clip_c]`` after every critic step.
+    The critic trains only on batches that hold both predicted classes; a
+    batch the detector gives one label skips its update.
 
-    Returns one EpochStats per epoch (generator loss, critic loss, and the
-    detection rate on a held-out probe slice of the training attacks).
+    Returns one EpochStats per epoch (generator loss, critic loss, critic
+    updates, and the detection rate on a held-out probe slice of the
+    training attacks).
     """
     config.validate()
     noise_dim = gen.dims[0] - N_FEATURES
@@ -278,6 +289,7 @@ def train(
                 loss_g=loss_g,
                 loss_d=loss_d,
                 probe_adv_dr=probe_dr,
+                critic_updates=len(d_losses),
                 skipped_critic_updates=skipped,
             )
         )
@@ -291,9 +303,11 @@ def _probe_detection_rate(gen, ids_model, probe, mask, schema, probe_rng) -> flo
 
 
 def write_trace_csv(path, history) -> None:
-    """Per-epoch metrics as CSV: epoch, loss_g, loss_d, probe_adv_dr."""
-    lines = ["epoch,loss_g,loss_d,probe_adv_dr"]
+    """Per-epoch metrics as CSV: epoch, loss_g, loss_d, probe_adv_dr, critic_updates."""
+    lines = ["epoch,loss_g,loss_d,probe_adv_dr,critic_updates"]
     for h in history:
-        lines.append(f"{h.epoch},{h.loss_g!r},{h.loss_d!r},{h.probe_adv_dr!r}")
+        lines.append(
+            f"{h.epoch},{h.loss_g!r},{h.loss_d!r},{h.probe_adv_dr!r},{h.critic_updates}"
+        )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -332,7 +332,7 @@ class TestStagedTraining:
         assert (cell / "generator.blob").exists()
         assert (cell / "critic.blob").exists()
         trace = (cell / "trace.csv").read_text().strip().splitlines()
-        assert trace[0] == "epoch,loss_g,loss_d,probe_adv_dr"
+        assert trace[0] == "epoch,loss_g,loss_d,probe_adv_dr,critic_updates"
         assert len(trace) == 1 + 3
 
     @pytest.mark.parametrize(
@@ -523,3 +523,18 @@ class TestTooFewAttackRecords:
         )
         assert code == EXIT_DATA
         assert f"{n_group} attack records to train on; at least 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "train-gan"])
+    def test_error_names_the_cell(self, trains, corpus_dir, tmp_path, capsys, command):
+        """With two attack groups, the error says which one is short."""
+        test = ("--test", str(corpus_dir / "test.txt")) if command == "evaluate" else ()
+        code = run_cli(
+            command, "--train", str(trains[0]), *test, "--out", str(tmp_path / "o"),
+            "--seed", "5", "--ids", "nb", "--attack", "dos,u2r_r2l",
+            "--setting", "functional_only", *FAST_GAN,
+        )
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "data error: cell (algorithm=nb, attack=u2r_r2l, setting=functional_only): "
+            "0 attack records to train on; at least 5 are needed\n"
+        )

@@ -1,5 +1,7 @@
 """Generator/critic losses, constrained generation, and the training loop."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -356,5 +358,32 @@ class TestTrain:
         history = train(gen, critic, ids_model, dos_data, mask, schema, config)
         gan.write_trace_csv(tmp_path / "trace.csv", history)
         lines = (tmp_path / "trace.csv").read_text().strip().splitlines()
-        assert lines[0] == "epoch,loss_g,loss_d,probe_adv_dr"
+        assert lines[0] == "epoch,loss_g,loss_d,probe_adv_dr,critic_updates"
         assert len(lines) == 1 + len(history)
+    def test_nan_critic_loss_means_no_critic_update(self, dos_setup, schema, tmp_path):
+        """At 100 epochs, every NaN loss_d in the trace sits on a row with critic_updates 0."""
+        normals, attacks, mask, _ = dos_setup
+        rng = np.random.default_rng(3)
+
+        class CoinDetector:
+            """Labels each whole batch normal or attack on a coin flip."""
+
+            def predict(self, X):
+                label = detectors.LABEL_ATTACK if rng.random() < 0.4 else detectors.LABEL_NORMAL
+                return np.full(len(X), label)
+
+        config = self.small_config(epochs=100, d_steps=2)
+        # 20 attack rows: 4 probe rows and one batch of 16, so 2 d-steps an epoch.
+        data = TrainData(normals, np.full(len(normals), detectors.LABEL_NORMAL), attacks[:20])
+        gen = build_generator(config, nn.make_rng(62))
+        critic = build_critic(config, nn.make_rng(63))
+        history = train(gen, critic, CoinDetector(), data, mask, schema, config)
+        assert [h.critic_updates + h.skipped_critic_updates for h in history] == [2] * 100
+        assert {h.critic_updates for h in history} == {0, 1, 2}
+
+        gan.write_trace_csv(tmp_path / "trace.csv", history)
+        with open(tmp_path / "trace.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 100
+        for row in rows:
+            assert np.isnan(float(row["loss_d"])) == (int(row["critic_updates"]) == 0), row

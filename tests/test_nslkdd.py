@@ -1,6 +1,7 @@
 """Parsing, validation, taxonomy, schema construction and encoding."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,10 +52,14 @@ def with_field(name, token, row=None):
     return ",".join(fields)
 
 
-def load_rows(directory, rows):
+def write_rows(directory, rows):
     path = directory / "rows.txt"
     path.write_text("\n".join(rows) + "\n")
-    return load_file(path)
+    return path
+
+
+def load_rows(directory, rows):
+    return load_file(write_rows(directory, rows))
 
 
 def reference_parse(path):
@@ -181,6 +186,90 @@ class TestValidation:
 
     def test_matches_line_by_line_reference(self, corpus_dir, train_records):
         assert_matches_reference(train_records, corpus_dir / "train.txt")
+
+
+class TestSlices:
+    """`_parse` reads `_SLICE_LINES` lines at a time; the slice size never shows in the result."""
+
+    SLICE = 3
+
+    @staticmethod
+    def assert_same_records(a, b):
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.token_codes, b.token_codes)
+        assert [v.tolist() for v in a.token_vocabs] == [v.tolist() for v in b.token_vocabs]
+        assert np.array_equal(a.category, b.category)
+        assert np.array_equal(a.difficulty, b.difficulty)
+
+    def assert_slicing_invisible(self, path, monkeypatch):
+        """load_file in slices of `SLICE` lines equals load_file in one slice and the reference."""
+        whole = load_file(path)
+        monkeypatch.setattr(nslkdd, "_SLICE_LINES", self.SLICE)
+        sliced = load_file(path)
+        self.assert_same_records(sliced, whole)
+        assert_matches_reference(sliced, path)
+        return sliced
+
+    def test_token_first_seen_in_a_later_slice(self, tmp_path, monkeypatch):
+        late = make_row(label="neptune").replace("tcp,http,SF", "udp,aaa_first,REJ")
+        rows = [make_row()] * 7 + [late, make_row()]
+        rec = self.assert_slicing_invisible(write_rows(tmp_path, rows), monkeypatch)
+        assert rec.token_vocabs[1].tolist() == ["aaa_first", "http"]
+        assert rec.tokens[7].tolist() == ["udp", "aaa_first", "REJ"]
+
+    def test_wide_token_only_in_a_later_slice(self, tmp_path, monkeypatch):
+        service = "s" * 20
+        rows = [make_row()] * 4 + [make_row(label="buffer_overflow").replace("http", service)]
+        rec = self.assert_slicing_invisible(write_rows(tmp_path, rows), monkeypatch)
+        assert rec.tokens[4, 1] == service
+        assert rec.is_in((AttackCategory.U2R,)).tolist() == [False] * 4 + [True]
+
+    def test_su_attempted_two_in_a_later_slice(self, tmp_path, monkeypatch):
+        rows = [make_row()] * 5 + [with_field("su_attempted", "2")]
+        rec = self.assert_slicing_invisible(write_rows(tmp_path, rows), monkeypatch)
+        assert not rec.values[:, nslkdd.FEATURE_INDEX["su_attempted"]].any()
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("final", [True, False], ids=["final-newline", "no-final-newline"])
+    def test_line_ends_and_blank_lines(self, tmp_path, monkeypatch, newline, final):
+        rows = [make_row(), "", make_row(label="neptune"), "  ", make_row()] * 3
+        path = tmp_path / "rows.txt"
+        path.write_bytes((newline.join(rows) + (newline if final else "")).encode())
+        assert len(self.assert_slicing_invisible(path, monkeypatch)) == 9
+
+    @pytest.mark.parametrize("blank", [False, True], ids=["no-blank-lines", "blank-lines"])
+    def test_bad_row_in_a_later_slice_names_its_line(self, tmp_path, monkeypatch, blank):
+        monkeypatch.setattr(nslkdd, "_SLICE_LINES", self.SLICE)
+        rows = [make_row()] * 7 + [with_field("dst_bytes", "-1"), make_row()]
+        if blank:
+            rows.insert(2, "")
+        with pytest.raises(MalformedRecord, match=rf"\(line {9 if blank else 8}\)$"):
+            load_rows(tmp_path, rows)
+        rows[-1] = make_row(label="not_an_attack")
+        rows[-2] = make_row()
+        with pytest.raises(UnknownAttack, match=rf"\(line {10 if blank else 9}\)"):
+            load_rows(tmp_path, rows)
+
+    def test_parse_memory_does_not_grow_with_the_file(self, tmp_path, monkeypatch):
+        """The tracemalloc peak past the file's bytes and the records stays flat from 4 to 32 slices.
+
+        A whole-file parse would hold ~570 bytes a line of structured rows
+        on top: ~4 MB more at 8,192 lines than at 1,024.
+        """
+        monkeypatch.setattr(nslkdd, "_SLICE_LINES", 256)
+        extra = {}
+        for n in (1024, 1024, 8192):  # the first load warms numpy's one-time caches
+            path = tmp_path / f"rows{n}.txt"
+            path.write_text("\n".join([HTTP_ROW] * n) + "\n")
+            tracemalloc.start()
+            try:
+                rec = load_file(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            kept = sum(a.nbytes for a in (rec.values, rec.token_codes, rec.category, rec.difficulty))
+            extra[n] = peak - kept - path.stat().st_size
+        assert extra[8192] - extra[1024] < 100_000, extra
 
 
 class TestMapAttack:
