@@ -201,7 +201,10 @@ class Records:
         )
 
     def take(self, index) -> "Records":
-        """The rows at `index` (index array or boolean mask), in that order."""
+        """The rows at `index` (index array, boolean mask or slice), in that order.
+
+        A slice gives views into these arrays, as for any numpy array.
+        """
         return Records(
             self.values[index],
             self.token_codes[index],
