@@ -53,13 +53,18 @@ def main():
     cells = len(algorithms) * 2 * 2
     print(f"running {cells} cells (algorithms={','.join(algorithms)}, "
           f"gan epochs={train_config.epochs}, jobs={args.jobs})")
-    result = run_experiment(config)
+
+    def progress(key, cell):
+        # called as each cell finishes; cell.generator and cell.critic are its networks
+        print(f"  {'/'.join(key)}: adversarial DR {100 * cell.row.adversarial_dr:.2f}%")
+
+    result = run_experiment(config, on_cell=progress)
 
     out = Path(args.out) if args.out else Path(tempfile.mkdtemp())
     out.mkdir(parents=True, exist_ok=True)
     result.report.write_csv(out / "report.csv")
     result.report.write_json(out / "report.json")
-    result.schema.save(out / "schema.txt")
+    result.inputs.schema.save(out / "schema.txt")
     for (algorithm, attack, setting), history in result.traces.items():
         gan.write_trace_csv(out / f"trace_{algorithm}_{attack}_{setting}.csv", history)
 

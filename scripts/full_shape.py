@@ -104,17 +104,23 @@ def measure_epoch(train: str, test: str) -> dict:
     knn_fit_s = time.perf_counter() - start
     inputs.detectors["knn"] = fitted
 
+    # The cell's history and networks are read off its `gan.train` call, not
+    # off `run_cell`'s return value, which differs between revisions.
     trained = {}
     real_train = gan.train
 
     def timed_train(*args, **kwargs):
         start = time.perf_counter()
         history = real_train(*args, **kwargs)
-        trained.update(epoch_s=time.perf_counter() - start, networks=args[:2])
+        trained.update(epoch_s=time.perf_counter() - start, networks=args[:2], history=history)
         return history
 
     gan.train = timed_train
-    _, history = evaluate.run_cell(inputs, config, "knn", "dos", "functional_only")
+    try:
+        evaluate.run_cell(inputs, config, "knn", "dos", "functional_only")
+    finally:
+        gan.train = real_train
+    history = trained["history"]
 
     digest = hashlib.sha256(inputs.fingerprint.encode())
     for matrix in (inputs.ids_X, inputs.ids_y, inputs.gan_normals):

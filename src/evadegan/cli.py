@@ -26,7 +26,7 @@ import numpy as np
 
 from . import detectors, evaluate, gan, nn, nslkdd
 from .masks import ABLATION, FUNCTIONAL_ONLY, mask_for
-from .nslkdd import EmptyDataset, MalformedRecord, UnknownAttack, build_schema
+from .nslkdd import EmptyDataset, MalformedRecord, UnknownAttack
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -236,15 +236,9 @@ def _write_effective_config(config: evaluate.ExperimentConfig, out: Path) -> Non
     (out / "effective.cfg").write_text(effective_config_text(config), encoding="utf-8")
 
 
-def _staged_inputs(config: evaluate.ExperimentConfig):
-    """The run's split, schema and encoded halves as `evaluate` derives them, bar the test file."""
-    return evaluate.prepare_grid_inputs(dataclasses.replace(config, test_path=None))
-
-
 def cmd_prepare(config: evaluate.ExperimentConfig) -> int:
     records = nslkdd.load_file(config.train_path)
-    ids_idx, gan_idx = nslkdd.split_indices(records, config.master_seed)
-    schema = build_schema(records.take(ids_idx))
+    ids_idx, gan_idx, schema = nslkdd.split_and_schema(records, config.master_seed)
 
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -267,13 +261,14 @@ def cmd_prepare(config: evaluate.ExperimentConfig) -> int:
 
 
 def cmd_train_ids(config: evaluate.ExperimentConfig) -> int:
-    inputs = _staged_inputs(config)
+    """Fit and save each detector as `evaluate` fits it: the grid with no cells."""
+    staged = dataclasses.replace(config, test_path=None, attacks=())
+    inputs = evaluate.run_experiment(staged).inputs
     out = Path(config.out_dir)
     model_dir = out / "models"
+    model_dir.mkdir(parents=True, exist_ok=True)
     for algorithm in config.algorithms:
-        model = evaluate.train_detector(inputs, config, algorithm)
-        # made only once a model is ready, so a data error leaves no directory
-        model_dir.mkdir(parents=True, exist_ok=True)
+        model = inputs.detectors[algorithm].model
         detectors.save_model(model, model_dir / f"{algorithm}.blob")
         train_acc = float((model.predict(inputs.ids_X) == inputs.ids_y).mean())
         print(f"trained {algorithm}: train accuracy {train_acc:.4f}")
@@ -282,33 +277,22 @@ def cmd_train_ids(config: evaluate.ExperimentConfig) -> int:
 
 
 def cmd_train_gan(config: evaluate.ExperimentConfig) -> int:
-    """Train each cell's GAN as `evaluate` does, against the detector `evaluate` trains."""
+    """Train each cell's GAN as `evaluate` does, and save it as the cell finishes."""
     out = Path(config.out_dir)
-    inputs = _staged_inputs(config)
-    for algorithm in config.algorithms:
-        ids_model = evaluate.train_detector(inputs, config, algorithm)
-        normal_labels = evaluate.label_normals(ids_model, inputs.gan_normals)
-        for attack in config.attacks:
-            data = gan.TrainData(
-                normals=inputs.gan_normals,
-                normal_labels=normal_labels,
-                attacks=inputs.gan_attacks[attack],
-            )
-            for setting in config.settings:
-                with evaluate.cell_errors(algorithm, attack, setting):
-                    cell = evaluate.train_cell_gan(
-                        config, algorithm, attack, setting, ids_model, data, inputs.schema
-                    )
-                cell_dir = out / "gan" / f"{algorithm}_{attack}_{setting}"
-                cell_dir.mkdir(parents=True, exist_ok=True)
-                nn.save_network(cell.generator, cell_dir / "generator.blob", {"role": "generator"})
-                nn.save_network(cell.critic, cell_dir / "critic.blob", {"role": "critic"})
-                gan.write_trace_csv(cell_dir / "trace.csv", cell.history)
-                final = cell.history[-1].probe_adv_dr if cell.history else float("nan")
-                print(
-                    f"trained gan {algorithm}/{attack}/{setting}: "
-                    f"{len(cell.history)} epochs, probe adversarial DR {final:.4f}"
-                )
+
+    def save_cell(key, cell):
+        cell_dir = out / "gan" / "_".join(key)
+        cell_dir.mkdir(parents=True, exist_ok=True)
+        nn.save_network(cell.generator, cell_dir / "generator.blob", {"role": "generator"})
+        nn.save_network(cell.critic, cell_dir / "critic.blob", {"role": "critic"})
+        gan.write_trace_csv(cell_dir / "trace.csv", cell.history)
+        final = cell.history[-1].probe_adv_dr if cell.history else float("nan")
+        print(
+            f"trained gan {'/'.join(key)}: "
+            f"{len(cell.history)} epochs, probe adversarial DR {final:.4f}"
+        )
+
+    evaluate.run_experiment(dataclasses.replace(config, test_path=None), on_cell=save_cell)
     _write_effective_config(config, out)
     return EXIT_OK
 
@@ -319,7 +303,7 @@ def cmd_evaluate(config: evaluate.ExperimentConfig) -> int:
     result = evaluate.run_experiment(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result.schema.save(out / "schema.txt")
+    result.inputs.schema.save(out / "schema.txt")
     result.report.write_csv(out / "report.csv")
     result.report.write_json(out / "report.json")
     trace_dir = out / "traces"

@@ -19,9 +19,9 @@ from functools import partial
 import numpy as np
 
 from . import detectors, gan, nn
-from .masks import ABLATION, FUNCTIONAL_ONLY, FeatureMask, mask_for
-from .nslkdd import AttackCategory, FeatureSchema, Records, build_schema, encode_batch
-from .nslkdd import load_file, split_indices
+from .masks import ABLATION, FUNCTIONAL_ONLY, mask_for
+from .nslkdd import AttackCategory, FeatureSchema, Records, encode_batch, load_file
+from .nslkdd import split_and_schema
 
 ATTACK_GROUPS = {
     "dos": (AttackCategory.DOS,),
@@ -158,9 +158,14 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
+    """A run's report rows (none without a test file), its traces and its inputs.
+
+    ``inputs.detectors`` holds each algorithm's fitted detector.
+    """
+
     report: EvalReport
     traces: dict
-    schema: FeatureSchema
+    inputs: _GridInputs
 
 
 @dataclass
@@ -185,8 +190,9 @@ class FittedDetector:
     model: detectors.ClassifierModel
     # attack group -> the detector's labels for that group's test records
     original_predictions: dict
-    # the detector's labels for the generator-half normals (gan.TrainData)
-    normal_labels: np.ndarray
+    # the detector's labels for the generator-half normals (gan.TrainData),
+    # None when the grid has no cells
+    normal_labels: np.ndarray | None
 
 
 def detector_labels(records: Records) -> np.ndarray:
@@ -204,9 +210,7 @@ def prepare_grid_inputs(config: ExperimentConfig) -> _GridInputs:
     and their ``test_attacks`` is empty.
     """
     train = load_file(config.train_path)
-    ids_rows, gan_rows = split_indices(train, config.master_seed)
-    # Ranges and vocabularies come from the detector training half only.
-    schema = build_schema(train.take(ids_rows))
+    ids_rows, gan_rows, schema = split_and_schema(train, config.master_seed)
 
     ids_y = detector_labels(train)[ids_rows]
     normal_rows = gan_rows[train.is_in((AttackCategory.NORMAL,))[gan_rows]]
@@ -249,93 +253,46 @@ def cell_seed(master_seed: int, algorithm: str, attack: str, setting: str) -> in
     return nn.derive_seed(master_seed, algorithm, attack, setting)
 
 
-@dataclass
-class CellGan:
-    """A cell's constraint mask and the generator/critic pair trained under it."""
-
-    mask: FeatureMask
-    generator: nn.Network
-    critic: nn.Network
-    history: list
-
-
-def train_cell_gan(
-    config: ExperimentConfig,
-    algorithm: str,
-    attack: str,
-    setting: str,
-    ids_model: detectors.ClassifierModel,
-    data: gan.TrainData,
-    schema: FeatureSchema,
-) -> CellGan:
-    """Train the (algorithm, attack, setting) cell's generator and critic against ids_model.
-
-    ``evaluate`` and ``train-gan`` both train a cell here, so a staged
-    generator is the one the grid scores.
-    """
-    mask = mask_for(ATTACK_GROUPS[attack][0], setting)
-    seed = nn.derive_seed(cell_seed(config.master_seed, algorithm, attack, setting), "gan")
-    gan_config = replace(config.gan, seed=seed)
-    generator = gan.build_generator(gan_config, nn.make_rng(nn.derive_seed(seed, "gen-init")))
-    critic = gan.build_critic(gan_config, nn.make_rng(nn.derive_seed(seed, "critic-init")))
-    history = gan.train(generator, critic, ids_model, data, mask, schema, gan_config)
-    return CellGan(mask=mask, generator=generator, critic=critic, history=history)
-
-
-def label_normals(model: detectors.ClassifierModel, normals) -> np.ndarray:
-    """The detector's labels for the generator-half normals, made in one call.
-
-    Every cell of the algorithm trains on these rows, so ``gan.train`` takes
-    their labels from here and queries the detector only about its
-    adversarial rows.
-    """
-    return model.predict(normals)
-
-
-def train_detector(
-    inputs: _GridInputs, config: ExperimentConfig, algorithm: str
-) -> detectors.ClassifierModel:
-    """`algorithm`'s detector, trained on the detector half with the run's seed and hyperparameters.
-
-    ``evaluate``, ``train-ids`` and ``train-gan`` all train a detector here,
-    so a staged detector, and the one a staged GAN attacks, is the one the
-    grid scores.
-    """
-    return detectors.fit(
-        algorithm,
-        inputs.ids_X,
-        inputs.ids_y,
-        seed=detector_seed(config.master_seed, algorithm),
-        schema_fingerprint=inputs.fingerprint,
-        hyperparams=config.ids_hyperparams.get(algorithm),
-    )
-
-
 def fit_detector(inputs: _GridInputs, config: ExperimentConfig, algorithm: str) -> FittedDetector:
-    """Train `algorithm` on the detector half, label each requested test group and the normals."""
+    """Train `algorithm` on the detector half with the run's seed and hyperparameters.
+
+    Every command fits its detectors here, so a staged detector, and the one
+    a staged GAN attacks, is the one the grid scores. The model labels each
+    requested test group when the run has a test file, then the
+    generator-half normals, which every cell of the algorithm trains on, when
+    the grid has cells; ``gan.train`` takes their labels from here and
+    queries the detector only about its adversarial rows.
+    """
     try:
-        for attack in config.attacks:
+        tested = config.attacks if inputs.test_attacks else ()
+        for attack in tested:
             if len(inputs.test_attacks[attack]) == 0:
                 raise EmptyEvaluationSet(f"no {attack} attack records in the test split")
-        model = train_detector(inputs, config, algorithm)
-        original = {attack: model.predict(inputs.test_attacks[attack]) for attack in config.attacks}
+        model = detectors.fit(
+            algorithm,
+            inputs.ids_X,
+            inputs.ids_y,
+            seed=detector_seed(config.master_seed, algorithm),
+            schema_fingerprint=inputs.fingerprint,
+            hyperparams=config.ids_hyperparams.get(algorithm),
+        )
         return FittedDetector(
             model=model,
-            original_predictions=original,
-            normal_labels=label_normals(model, inputs.gan_normals),
+            original_predictions={a: model.predict(inputs.test_attacks[a]) for a in tested},
+            normal_labels=model.predict(inputs.gan_normals) if config.attacks else None,
         )
     except Exception as exc:
         raise ExperimentCellError(f"detector (algorithm={algorithm}): {exc}", exc) from exc
 
 
-@contextmanager
-def cell_errors(algorithm: str, attack: str, setting: str):
-    """Re-raise a failure inside as an ExperimentCellError that names the cell."""
-    try:
-        yield
-    except Exception as exc:
-        cell = f"cell (algorithm={algorithm}, attack={attack}, setting={setting})"
-        raise ExperimentCellError(f"{cell}: {exc}", exc) from exc
+@dataclass
+class CellResult:
+    """A trained cell: its networks, per-epoch history and, with a test file, its report row."""
+
+    generator: nn.Network
+    critic: nn.Network
+    history: list
+    row: EvalRow | None
 
 
 def run_cell(
@@ -344,50 +301,59 @@ def run_cell(
     algorithm: str,
     attack: str,
     setting: str,
-):
-    """One grid cell against ``inputs.detectors[algorithm]``.
+) -> CellResult:
+    """Train one grid cell's generator and critic against ``inputs.detectors[algorithm]``.
 
-    Returns (EvalRow, per-epoch training history).
+    With a test file, the generator then regenerates the group's test
+    attacks and the detector scores them into the cell's `EvalRow`.
     """
-    with cell_errors(algorithm, attack, setting):
+    try:
         detector = inputs.detectors[algorithm]
-        test_X = inputs.test_attacks[attack]
-        original_pred = detector.original_predictions[attack]
-        n_detected_original = int((original_pred == detectors.LABEL_ATTACK).sum())
-        original_dr = detection_rate(original_pred)
-
+        mask = mask_for(ATTACK_GROUPS[attack][0], setting)
+        seed = cell_seed(config.master_seed, algorithm, attack, setting)
+        gan_seed = nn.derive_seed(seed, "gan")
+        gan_config = replace(config.gan, seed=gan_seed)
+        generator = gan.build_generator(
+            gan_config, nn.make_rng(nn.derive_seed(gan_seed, "gen-init"))
+        )
+        critic = gan.build_critic(gan_config, nn.make_rng(nn.derive_seed(gan_seed, "critic-init")))
         data = gan.TrainData(
             normals=inputs.gan_normals,
             normal_labels=detector.normal_labels,
             attacks=inputs.gan_attacks[attack],
         )
-        trained = train_cell_gan(
-            config, algorithm, attack, setting, detector.model, data, inputs.schema
+        history = gan.train(
+            generator, critic, detector.model, data, mask, inputs.schema, gan_config
         )
 
-        seed = cell_seed(config.master_seed, algorithm, attack, setting)
-        eval_noise = nn.make_rng(nn.derive_seed(seed, "eval-noise"))
-        _, adversarial = gan.generate(
-            trained.generator, test_X, trained.mask, inputs.schema, eval_noise
-        )
-        adv_pred = detector.model.predict(adversarial)
-        n_detected_adv = int((adv_pred == detectors.LABEL_ATTACK).sum())
-        adversarial_dr = detection_rate(adv_pred)
-
-        eir = None if original_dr == 0.0 else evasion_increase_rate(original_dr, adversarial_dr)
-        row = EvalRow(
-            algorithm=algorithm,
-            attack=attack,
-            setting=setting,
-            original_dr=original_dr,
-            adversarial_dr=adversarial_dr,
-            eir=eir,
-            n_attack_records=len(test_X),
-            n_detected_original=n_detected_original,
-            n_detected_adversarial=n_detected_adv,
-            low_confidence=original_dr < LOW_CONFIDENCE_DR,
-        )
-        return row, trained.history
+        row = None
+        if inputs.test_attacks:
+            test_X = inputs.test_attacks[attack]
+            original_pred = detector.original_predictions[attack]
+            original_dr = detection_rate(original_pred)
+            eval_noise = nn.make_rng(nn.derive_seed(seed, "eval-noise"))
+            _, adversarial = gan.generate(generator, test_X, mask, inputs.schema, eval_noise)
+            adv_pred = detector.model.predict(adversarial)
+            adversarial_dr = detection_rate(adv_pred)
+            eir = None
+            if original_dr > 0.0:
+                eir = evasion_increase_rate(original_dr, adversarial_dr)
+            row = EvalRow(
+                algorithm=algorithm,
+                attack=attack,
+                setting=setting,
+                original_dr=original_dr,
+                adversarial_dr=adversarial_dr,
+                eir=eir,
+                n_attack_records=len(test_X),
+                n_detected_original=int((original_pred == detectors.LABEL_ATTACK).sum()),
+                n_detected_adversarial=int((adv_pred == detectors.LABEL_ATTACK).sum()),
+                low_confidence=original_dr < LOW_CONFIDENCE_DR,
+            )
+        return CellResult(generator=generator, critic=critic, history=history, row=row)
+    except Exception as exc:
+        cell = f"cell (algorithm={algorithm}, attack={attack}, setting={setting})"
+        raise ExperimentCellError(f"{cell}: {exc}", exc) from exc
 
 
 def _fit_task(inputs, config, algorithm):
@@ -398,8 +364,7 @@ def _cell_task(inputs, config, task):
     algorithm, attack, setting, detector = task
     # A pool worker's copy of the inputs predates the fits.
     inputs.detectors[algorithm] = detector
-    row, history = run_cell(inputs, config, algorithm, attack, setting)
-    return (algorithm, attack, setting), row, history
+    return (algorithm, attack, setting), run_cell(inputs, config, algorithm, attack, setting)
 
 
 # (inputs, config) inside a pool worker. The fork hands them over without
@@ -439,41 +404,51 @@ def _in_worker(fn, task):
 
 @contextmanager
 def _task_map(inputs, config: ExperimentConfig):
-    """map(fn, tasks) calling fn(inputs, config, task).
+    """Lazy map(fn, tasks) calling fn(inputs, config, task), results in task order.
 
-    A plain loop, or with ``config.jobs > 1`` a fork pool running one task
-    per chunk.
+    A generator, or with ``config.jobs > 1`` a fork pool's ``imap`` running
+    one task per chunk. Consume the results inside the ``with`` block.
     """
     if config.jobs <= 1:
-        yield lambda fn, tasks: [fn(inputs, config, t) for t in tasks]
+        yield lambda fn, tasks: (fn(inputs, config, t) for t in tasks)
         return
     import multiprocessing  # only here: the import alone adds ~0.6 MB to a serial run
 
     with multiprocessing.get_context("fork").Pool(
         config.jobs, initializer=_start_worker, initargs=(inputs, config)
     ) as pool:
-        yield lambda fn, tasks: pool.map(partial(_in_worker, fn), tasks, chunksize=1)
+        yield lambda fn, tasks: pool.imap(partial(_in_worker, fn), tasks, chunksize=1)
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig, on_cell=None) -> ExperimentResult:
     """Fit each detector once, then run every cell against it.
 
-    Rows come out in sorted cell order.
+    This is the one loop over the grid: ``evaluate`` runs it with a test
+    file, ``train-gan`` without one and ``train-ids`` with no attack groups,
+    which fits the detectors and trains no GAN. ``on_cell(key, cell)`` sees
+    each cell's `CellResult` in this process as it finishes, in grid order;
+    only its row and history are kept, so one finished cell's networks at
+    most are alive here. Rows come out in sorted cell order.
     """
     inputs = prepare_grid_inputs(config)
+    results = []
     with _task_map(inputs, config) as task_map:
-        fitted = dict(task_map(_fit_task, config.algorithms))
+        inputs.detectors.update(task_map(_fit_task, config.algorithms))
         cells = [
-            (algorithm, attack, setting, fitted[algorithm])
+            (algorithm, attack, setting, inputs.detectors[algorithm])
             for algorithm in config.algorithms
             for attack in config.attacks
             for setting in config.settings
         ]
-        results = task_map(_cell_task, cells)
+        for key, cell in task_map(_cell_task, cells):
+            if on_cell is not None:
+                on_cell(key, cell)
+            results.append((key, cell.row, cell.history))
 
     report = EvalReport()
     traces = {}
     for key, row, history in sorted(results, key=lambda r: r[0]):
-        report.rows.append(row)
+        if row is not None:
+            report.rows.append(row)
         traces[key] = history
-    return ExperimentResult(report=report, traces=traces, schema=inputs.schema)
+    return ExperimentResult(report=report, traces=traces, inputs=inputs)

@@ -430,43 +430,39 @@ class FeatureSchema:
         return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()
 
 
-def _raw_matrix(records: Records, schema: FeatureSchema) -> np.ndarray:
-    """Feature values before normalization, symbolic tokens as 1-based vocabulary positions."""
-    raw = records.values.copy()
-    for j, i in enumerate(SYMBOLIC_INDICES):
-        vocab = schema.vocabs[i]
-        tokens = records.token_vocabs[j]
-        position = {token: k for k, token in enumerate(vocab, 1)}
-        # Unknown tokens sit one past the known vocabulary, so the range
-        # clamp pins them to the top of the train range.
-        lookup = np.array([position.get(t, len(vocab) + 1) for t in tokens.tolist()], dtype=float)
-        raw[:, i] = lookup[records.token_codes[:, j]]
-    return raw
-
-
 def build_schema(train: Records) -> FeatureSchema:
     """Build vocabularies (first-seen order) and train min/max ranges from the training half."""
     if len(train) == 0:
         raise EmptyDataset("no training records")
+    fmin, fmax = train.values.min(axis=0), train.values.max(axis=0)
     vocabs = {}
     for j, i in enumerate(SYMBOLIC_INDICES):
         present, first = np.unique(train.token_codes[:, j], return_index=True)
         tokens = train.token_vocabs[j][present[np.argsort(first)]].tolist()
         seed = PROTOCOL_SEED if FEATURE_NAMES[i] == "protocol_type" else ()
         vocabs[i] = list(seed) + [t for t in tokens if t not in seed]
-
-    schema = FeatureSchema(vocabs=vocabs)
-    raw = _raw_matrix(train, schema)
-    schema.fmin = raw.min(axis=0)
-    schema.fmax = raw.max(axis=0)
-    schema.fmin[list(BINARY_INDICES)] = 0.0
-    schema.fmax[list(BINARY_INDICES)] = 1.0
-    return schema
+        # the range of the 1-based vocabulary positions the records hold
+        positions = [vocabs[i].index(t) + 1 for t in tokens]
+        fmin[i], fmax[i] = min(positions), max(positions)
+    fmin[list(BINARY_INDICES)] = 0.0
+    fmax[list(BINARY_INDICES)] = 1.0
+    return FeatureSchema(vocabs=vocabs, fmin=fmin, fmax=fmax)
 
 
 def encode_batch(records: Records, schema: FeatureSchema) -> np.ndarray:
-    """Min-max normalize every record into [0,1]^41, clamped to the train range: (n, 41)."""
-    x = _raw_matrix(records, schema)
+    """Min-max normalize every record into [0,1]^41, clamped to the train range: (n, 41).
+
+    A symbolic token's value before normalization is its 1-based vocabulary position.
+    """
+    x = records.values.copy()
+    for j, i in enumerate(SYMBOLIC_INDICES):
+        vocab = schema.vocabs[i]
+        position = {token: k for k, token in enumerate(vocab, 1)}
+        # Unknown tokens sit one past the known vocabulary, so the range
+        # clamp pins them to the top of the train range.
+        tokens = records.token_vocabs[j].tolist()
+        lookup = np.array([position.get(t, len(vocab) + 1) for t in tokens], dtype=float)
+        x[:, i] = lookup[records.token_codes[:, j]]
     np.clip(x, schema.fmin, schema.fmax, out=x)
     span = schema.fmax - schema.fmin
     x -= schema.fmin
@@ -498,6 +494,12 @@ def split_indices(records: Records, seed: int):
     rng.shuffle(a)
     rng.shuffle(b)
     return a, b
+
+
+def split_and_schema(records: Records, seed: int):
+    """(detector-half rows, generator-half rows, schema built from the detector half only)."""
+    ids_rows, gan_rows = split_indices(records, seed)
+    return ids_rows, gan_rows, build_schema(records.take(ids_rows))
 
 
 def split_train(records: Records, seed: int):

@@ -289,23 +289,44 @@ class TestStagedTraining:
         )
         inputs = evaluate.prepare_grid_inputs(config)
         for algorithm in config.algorithms:
-            detectors.save_model(
-                evaluate.train_detector(inputs, config, algorithm), tmp_path / f"{algorithm}.blob"
-            )
+            model = evaluate.fit_detector(inputs, config, algorithm).model
+            detectors.save_model(model, tmp_path / f"{algorithm}.blob")
             for name in (f"{algorithm}.blob", f"{algorithm}.manifest.json"):
                 staged = (prepared / "models" / name).read_bytes()
                 assert staged == (tmp_path / name).read_bytes(), name
 
-    def test_failed_train_ids_leaves_no_directory(self, tmp_path):
+    @pytest.mark.parametrize("command", ["train-ids", "train-gan"])
+    def test_failed_train_ids_leaves_no_directory(self, tmp_path, capsys, command):
+        """A detector that cannot be fitted is a data error that names it; nothing is written."""
         rng = np.random.default_rng(0)
         train = tmp_path / "normal_only.txt"
         train.write_text(
             "".join(synthetic.make_record_line(rng, "normal") + "\n" for _ in range(200))
         )
         out = tmp_path / "o1"
-        code = run_cli("train-ids", "--train", str(train), "--out", str(out), "--ids", "lr")
+        code = run_cli(command, "--train", str(train), "--out", str(out), "--ids", "lr")
         assert code == EXIT_DATA
+        assert "detector (algorithm=lr)" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_jobs_write_identical_trees(self, corpus_dir, tmp_path):
+        """Detectors and networks pickled back from pool workers save the serial run's bytes."""
+
+        def tree(root):
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        for jobs in ("1", "2"):
+            data = ["--train", str(corpus_dir / "train.txt"), "--seed", "5", "--jobs", jobs]
+            out = tmp_path / f"jobs{jobs}"
+            assert run_cli("train-ids", *data, "--out", str(out), "--ids", "lr,knn,mlp") == EXIT_OK
+            code = run_cli(
+                "train-gan", *data, "--out", str(out), "--ids", "lr,nb", "--attack", "dos",
+                *FAST_GAN,
+            )
+            assert code == EXIT_OK
+        for name in ("models", "gan"):
+            serial, pooled = tree(tmp_path / "jobs1" / name), tree(tmp_path / "jobs2" / name)
+            assert serial and pooled == serial, name
 
     def test_train_gan_runs_in_a_fresh_out(self, corpus_dir, tmp_path):
         """train-gan trains its own detector: it needs no train-ids run and writes no models/."""

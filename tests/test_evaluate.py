@@ -234,7 +234,7 @@ class TestRunExperiment:
             pytest.skip("numpy's BLAS has no scipy-openblas thread control")
         before = get_threads()
         with evaluate._task_map(None, ExperimentConfig(jobs=2)) as task_map:
-            assert task_map(_blas_threads, range(4)) == [1, 1, 1, 1]
+            assert list(task_map(_blas_threads, range(4))) == [1, 1, 1, 1]
         assert get_threads() == before  # the parent process keeps its setting
 
     def test_cell_error_carries_context(self, corpus_dir):

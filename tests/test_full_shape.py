@@ -75,3 +75,19 @@ def test_compare_ratio_and_label_equality():
 def test_compare_with_failed_side():
     entry = full_shape.compare({"error": "exit 1"}, memory(25.0))
     assert "detector_ratio" not in entry and "labels_equal" not in entry
+
+
+def test_measurements_run_against_this_package(corpus_dir):
+    """The children's measurements call `evaluate` as it is, on the small corpus."""
+    from evadegan import gan
+
+    real_train = gan.train
+    train, test = str(corpus_dir / "train.txt"), str(corpus_dir / "test.txt")
+    epoch = full_shape.measure_epoch(train, test)
+    assert gan.train is real_train
+    assert set(full_shape.EPOCH_KEYS) <= set(epoch)
+    assert all(epoch[name] > 0 for name in full_shape.METRICS)
+    assert set(epoch["digests"]) == set(full_shape.DIGESTS)
+    record = full_shape.measure_memory("knn", train, test)
+    assert set(full_shape.MEMORY_KEYS) <= set(record)
+    assert record["detector_mb"] > 0 and record["n_labels"] > 0
