@@ -64,7 +64,7 @@ def main():
 
     # encoding is invertible for non-constant features
     i = nslkdd.FEATURE_INDEX["src_bytes"]
-    back = nslkdd.decode_value(schema, i, enc[i])
+    back = schema.fmin[i] + enc[i] * (schema.fmax[i] - schema.fmin[i])
     print(f"src_bytes round trip: raw {records.values[0, i]:g} -> {enc[i]:.6f} -> {back:g}")
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ def show(mask):
     for i in range(41):
         _, _, fset = FEATURE_TABLE[i]
         by_set.setdefault(fset, []).append("x" if mask.modifiable[i] else ".")
-    print(f"\n{mask.category.value} / {mask.setting}: {mask.n_modifiable()} of 41 modifiable")
+    print(f"\n{mask.category.value} / {mask.setting}: {mask.modifiable.sum()} of 41 modifiable")
     for fset in ("intrinsic", "content", "time_based", "host_based"):
         bits = "".join(by_set[fset])
         print(f"  {fset:>11} [{bits}]")

@@ -63,7 +63,7 @@ def main():
     mask = mask_for(GROUPS[args.attack][0], args.setting)
     print(
         f"\n{args.attack} records: {len(attacks)} for generator training, "
-        f"{len(test_attacks)} held-out test; {mask.n_modifiable()}/41 features modifiable"
+        f"{len(test_attacks)} held-out test; {mask.modifiable.sum()}/41 features modifiable"
     )
 
     print(f"training black-box detector: {args.ids}")

@@ -22,9 +22,8 @@ records, of the epoch's trace CSV and of the trained generator and critic
 parameters, and whether the two sides agree on each.
 
 Memory, one run per algorithm and side (memory, unlike time, barely varies
-between runs): ingest, then ``evaluate.fit_detector`` (fit and the original
-predictions on every attack group's test records), then the fitted model's
-own ``predict`` over all generator-half normals. It reports
+between runs): ingest, then ``evaluate.fit_detector``, which fits and labels
+every attack group's test records and the generator-half normals. It reports
 
 - ``ingest_maxrss_mb``: the peak resident set size (``ru_maxrss``) after
   ingest;
@@ -161,7 +160,7 @@ def measure_memory(algorithm: str, train: str, test: str) -> dict:
     ingest = maxrss_mb()
     tracemalloc.start()
     fitted = evaluate.fit_detector(inputs, config, algorithm)
-    normals = fitted.model.predict(inputs.gan_normals)
+    normals = fitted.normal_labels
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     digest = hashlib.sha256()

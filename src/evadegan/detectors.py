@@ -213,7 +213,6 @@ class MlpClassifier(ClassifierModel):
                 grad = probs.copy()
                 grad[np.arange(len(idx)), y[idx]] -= 1.0
                 grad /= len(idx)
-                self.net.zero_grad()
                 self.net.backward(grad, input_grad=False)
                 opt.step(self.net.parameters())
         return self

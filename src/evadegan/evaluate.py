@@ -30,6 +30,8 @@ ATTACK_GROUPS = {
 }
 
 LOW_CONFIDENCE_DR = 0.02
+# Rows encoded per `encode_batch` call while ingest encodes a file in place.
+_ENCODE_ROWS = 1024
 
 
 class EmptyEvaluationSet(ValueError):
@@ -202,6 +204,18 @@ def detector_labels(records: Records) -> np.ndarray:
     )
 
 
+def _encode_in_place(records: Records, schema: FeatureSchema) -> np.ndarray:
+    """Overwrite ``records.values`` with their encoding, `_ENCODE_ROWS` rows at a time.
+
+    Returns the encoded matrix; the records' values are spent. Each slice
+    is one `encode_batch` call, so only a slice is ever copied.
+    """
+    for start in range(0, len(records), _ENCODE_ROWS):
+        rows = slice(start, start + _ENCODE_ROWS)
+        records.values[rows] = encode_batch(records.take(rows), schema)
+    return records.values
+
+
 def prepare_grid_inputs(config: ExperimentConfig) -> _GridInputs:
     """Split, schema and encoded matrices of a run, derived from its train file and seed.
 
@@ -218,10 +232,10 @@ def prepare_grid_inputs(config: ExperimentConfig) -> _GridInputs:
         name: gan_rows[train.is_in(group)[gan_rows]] for name, group in ATTACK_GROUPS.items()
     }
     # Encoding works row by row, so the halves are rows of one encoded train
-    # matrix. The records go before the halves are cut, and the test file is
-    # read once that matrix has gone too, so ingest holds two value matrices
-    # at most.
-    train_X = encode_batch(train, schema)
+    # matrix, encoded in place. The records go before the halves are cut, and
+    # the test file is read once that matrix has gone too, so ingest holds two
+    # value matrices at most.
+    train_X = _encode_in_place(train, schema)
     del train
     ids_X, gan_normals = train_X[ids_rows], train_X[normal_rows]
     gan_attacks = {name: train_X[rows] for name, rows in attack_rows.items()}
@@ -230,7 +244,7 @@ def prepare_grid_inputs(config: ExperimentConfig) -> _GridInputs:
     test_attacks = {}
     if config.test_path is not None:
         test = load_file(config.test_path)
-        test_X = encode_batch(test, schema)
+        test_X = _encode_in_place(test, schema)
         test_attacks = {name: test_X[test.is_in(group)] for name, group in ATTACK_GROUPS.items()}
     return _GridInputs(
         schema=schema,

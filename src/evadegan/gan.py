@@ -170,7 +170,6 @@ def generator_step(gen, critic, optimizer, batch, mask, schema, noise) -> float:
     grad_in = critic.backward(upstream, param_grads=False)
     # No gradient through frozen positions or saturated clamps.
     gate = mask.modifiable[None, :] & (raw > 0.0) & (raw < 1.0)
-    gen.zero_grad()
     gen.backward(grad_in * gate, input_grad=False)
     optimizer.step(gen.parameters())
     return loss
@@ -189,7 +188,6 @@ def critic_step(critic, optimizer, batch, pred_normal, clip_c) -> float:
     scores = critic.forward(batch, cache=True)
     loss = float(scores[pred_normal, 0].mean() - scores[~pred_normal, 0].mean())
     upstream = np.where(pred_normal[:, None], 1.0 / n_pn, -1.0 / n_pa)
-    critic.zero_grad()
     critic.backward(upstream, input_grad=False)
     optimizer.step(critic.parameters())
     nn.clip_network(critic, clip_c)
@@ -270,14 +268,16 @@ def train(
                 # Only the adversarial rows are new to the detector, which
                 # sees them in their discrete form.
                 labels = np.concatenate([normal_labels[norm_idx], ids_model.predict(adv_disc)])
-                critic_view = np.vstack([normals[norm_idx], adv_cont])
                 pred_normal = labels == detectors.LABEL_NORMAL
-                try:
-                    d_losses.append(
-                        critic_step(critic, opt_d, critic_view, pred_normal, config.clip_c)
-                    )
-                except EmptyPartition:
+                # A batch of one label cannot train the critic, so its rows
+                # are gathered only when it holds both.
+                if pred_normal.all() or not pred_normal.any():
                     skipped += 1
+                    continue
+                critic_view = np.vstack([normals[norm_idx], adv_cont])
+                d_losses.append(
+                    critic_step(critic, opt_d, critic_view, pred_normal, config.clip_c)
+                )
 
         loss_g = float(np.mean(g_losses)) if g_losses else float("nan")
         loss_d = float(np.mean(d_losses)) if d_losses else float("nan")

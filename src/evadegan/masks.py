@@ -81,9 +81,6 @@ class FeatureMask:
     category: AttackCategory
     setting: str
 
-    def n_modifiable(self) -> int:
-        return int(self.modifiable.sum())
-
     def to_text(self) -> str:
         """Audit listing: one 'feature<TAB>frozen|modifiable' line per feature."""
         lines = [f"# mask {self.category.value} {self.setting}"]

@@ -56,7 +56,7 @@ class Network:
 
     All parameters live in one flat float64 array, ``params``, and all
     gradients in another, ``grads`` (w0, b0, w1, b1, ...), so an optimiser
-    step, a clip or a zeroing is one array operation. ``layers`` holds one
+    step or a clip is one array operation. ``layers`` holds one
     read-only `Layer` of C-contiguous views into them per layer; write
     through the views in place (``layer.weights[:] = ...``).
     """
@@ -109,8 +109,9 @@ class Network:
     ) -> np.ndarray | None:
         """Returns the gradient w.r.t. the input, or None without `input_grad`.
 
-        With `param_grads` it also accumulates every layer's parameter
-        gradients into ``grads``; without, ``grads`` is left untouched.
+        With `param_grads` it also writes every layer's parameter gradients
+        into ``grads``, replacing what they held; without, ``grads`` is left
+        untouched.
         Without `input_grad` the first layer skips the product that only
         the input gradient needs.
         """
@@ -124,13 +125,10 @@ class Network:
             if k < last:
                 grad = grad * (inputs[k + 1] > 0.0)
             if param_grads:
-                np.add(layer.grad_weights, grad.T @ inputs[k], out=layer.grad_weights)
-                np.add(layer.grad_bias, grad.sum(axis=0), out=layer.grad_bias)
+                np.matmul(grad.T, inputs[k], out=layer.grad_weights)
+                np.sum(grad, axis=0, out=layer.grad_bias)
             grad = grad @ layer.weights if input_grad or k > 0 else None
         return grad
-
-    def zero_grad(self) -> None:
-        self.grads.fill(0.0)
 
     def parameters(self):
         """The one (params, grads) pair, as the list RmsProp.step takes."""

@@ -6,11 +6,12 @@ attack label, and a difficulty score. The 41 features split into four sets
 three kinds: 3 symbolic multi-valued features (protocol_type, service, flag),
 6 binary flags, and 32 continuous values.
 
-`load_file` reads a whole file into one columnar `Records` set. Blank lines
-are skipped; every other line must have 43 fields, an integer difficulty,
-finite numeric fields >= 0, binary fields of 0 or 1 (su_attempted 2 reads
-as 0) and a label in the attack taxonomy, or `MalformedRecord` (for the
-label `UnknownAttack`) names its 1-based line number; the CLI exits 3.
+`load_file` reads a file, slice by slice, into one columnar `Records` set.
+Blank lines are skipped; every other line must have 43 fields, an integer
+difficulty, finite numeric fields >= 0, binary fields of 0 or 1
+(su_attempted 2 reads as 0) and a label in the attack taxonomy, or
+`MalformedRecord` (for the label `UnknownAttack`) names its 1-based line
+number; the CLI exits 3.
 
 Encoding converts symbolic tokens to 1-based vocabulary indices, then
 min-max normalizes every feature into [0,1] using ranges measured on the
@@ -247,56 +248,55 @@ _TEXT_COLUMNS = (*SYMBOLIC_INDICES, N_FEATURES)
 _READ = dict(delimiter=",", comments=None, encoding="utf-8")
 _SU_ATTEMPTED = FEATURE_INDEX["su_attempted"]
 _ROW_ERRORS = (MalformedRecord, UnknownAttack)
-# Lines parsed at a time: ~2.3 MB of structured rows, whatever the file's size.
-_SLICE_LINES = 4096
+# Lines read and parsed at a time: ~0.6 MB of structured rows, whatever the file's size.
+_SLICE_LINES = 1024
 
 
-def _empty_records() -> Records:
-    none = np.zeros(0, dtype=np.int64)
-    vocabs = (np.zeros(0, dtype=str),) * len(SYMBOLIC_INDICES)
-    codes = np.zeros((0, len(SYMBOLIC_INDICES)), dtype=np.intp)
-    return Records(np.zeros((0, N_FEATURES)), codes, vocabs, none, none)
-
-
-def _parse(data: bytes) -> Records:
-    """Parse and validate newline-separated rows; errors name no line.
-
-    The rows are parsed `_SLICE_LINES` lines at a time into arrays sized
-    once from the line count, so the parse's transient memory does not grow
-    with the file.
-    """
-    if not data or data.isspace():
-        return _empty_records()
-    # Each slice's rows and bytes; counting them takes one pass over the lines.
-    bounds = []
-    lines = io.BytesIO(data)
-    n = start = 0
-    while count := len(list(itertools.islice(lines, _SLICE_LINES))):
-        bounds.append((slice(n, n + count), slice(start, lines.tell())))
-        n, start = n + count, lines.tell()
-    records = Records(
+def _allocate(n: int) -> Records:
+    """Records of `n` rows to parse into, without vocabularies yet."""
+    return Records(
         np.zeros((n, N_FEATURES)),
         np.empty((n, len(SYMBOLIC_INDICES)), dtype=np.intp),
         (),
         np.empty(n, dtype=np.int64),
         np.empty(n, dtype=np.int64),
     )
-    # (row slice, that slice's sorted symbolic vocabularies) per slice
-    slices = [(rows, _parse_slice(data[span], records.take(rows))) for rows, span in bounds]
 
-    # Merge the slices' vocabularies into the file's and recode each slice.
-    vocabs = []
-    for j in range(len(SYMBOLIC_INDICES)):
-        vocab = np.unique(np.concatenate([slice_vocabs[j] for _, slice_vocabs in slices]))
-        for rows, slice_vocabs in slices:
-            codes = records.token_codes[rows, j]
-            codes[...] = np.searchsorted(vocab, slice_vocabs[j])[codes]
-        vocabs.append(vocab)
-    return replace(records, token_vocabs=tuple(vocabs))
+
+def _slices(path):
+    """Yield (1-based number of its first line, its lines) per `_SLICE_LINES` lines of the file.
+
+    The file is read as latin-1 text with universal newlines: every byte is
+    one character, so a line keeps its bytes, and CRLF or a lone CR ends it
+    as in a UTF-8 text read.
+    """
+    with open(path, encoding="latin-1", newline=None) as fh:
+        first = 1
+        while lines := list(itertools.islice(fh, _SLICE_LINES)):
+            yield first, lines
+            first += len(lines)
+
+
+def _numbered_rows(lines: list, first: int) -> list:
+    """(1-based line number, text) of each line of a slice that holds more than whitespace.
+
+    `first` is the number of the slice's first line; invalid UTF-8 fails here.
+    """
+    decoded = "".join(lines).encode("latin-1").decode("utf-8")
+    return [(n, line) for n, line in enumerate(decoded.split("\n"), first) if line.strip()]
+
+
+def _slice_rows(lines: list) -> tuple:
+    """(the rows of a slice's lines as UTF-8 bytes, their count); blank lines are dropped."""
+    data = "".join(lines).encode("latin-1")
+    if data.isascii() and not any(map(str.isspace, lines)):
+        return data, len(lines)
+    rows = _numbered_rows(lines, 1)
+    return "\n".join(line for _, line in rows).encode("utf-8"), len(rows)
 
 
 def _parse_slice(data: bytes, out: Records) -> tuple:
-    """Parse and validate `data`'s rows into `out`, whose arrays are views.
+    """Parse and validate `data`'s rows into `out`, whose arrays are views; errors name no line.
 
     ``out.token_codes`` receives positions in the slice's own sorted
     vocabularies, which are returned.
@@ -338,51 +338,66 @@ def _parse_slice(data: bytes, out: Records) -> tuple:
     return tuple(tokens for tokens, _ in symbolic)
 
 
-def load_file(path) -> Records:
-    """Read and validate an NSL-KDD text file; errors carry the 1-based line number."""
-    data = Path(path).read_bytes()
-    # As a UTF-8 text-mode read: invalid UTF-8 fails here, and \r\n or a
-    # lone \r ends a line.
-    if not data.isascii():
-        data.decode("utf-8")
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    # loadtxt warns on empty lines and rejects whitespace-only ones, so a
-    # file with either is parsed below, where blank lines are dropped.
-    if b"\n\n" not in data and not data.startswith(b"\n"):
-        try:
-            return _parse(data)
-        except _ROW_ERRORS:
-            pass
-    text = data.decode("utf-8")
-    lines = [(lineno, line) for lineno, line in enumerate(text.split("\n"), 1) if line.strip()]
+def _line_error(error: Exception, lines: list, first: int) -> Exception:
+    """`error`, raised by the slice `lines` whose first line is `first`, naming its failing line."""
+    numbered = _numbered_rows(lines, first)
 
-    def parse_lines(lo, hi):
-        return _parse("\n".join(line for _, line in lines[lo:hi]).encode("utf-8"))
+    def parse_rows(lo, hi):
+        rows = "\n".join(line for _, line in numbered[lo:hi]).encode("utf-8")
+        _parse_slice(rows, _allocate(hi - lo))
 
-    try:
-        return parse_lines(0, len(lines))
-    except _ROW_ERRORS as exc:
-        error = exc
     # Rows parse independently, so a run of lines fails exactly when one of
     # them does: bisect to the first line that fails on its own.
-    lo, hi = 0, len(lines)
+    lo, hi = 0, len(numbered)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            parse_lines(lo, mid)
+            parse_rows(lo, mid)
             lo = mid
         except _ROW_ERRORS:
             hi = mid
-    lineno, line = lines[lo]
+    lineno, line = numbered[lo]
     n_fields = line.count(",") + 1
     try:
         if n_fields != N_FEATURES + 2:
             raise MalformedRecord(f"expected {N_FEATURES + 2} fields, got {n_fields}")
-        parse_lines(lo, lo + 1)
+        parse_rows(lo, lo + 1)
     except _ROW_ERRORS as exc:
         error = exc
-    raise type(error)(f"{error.args[0]} (line {lineno})") from None
+    return type(error)(f"{error.args[0]} (line {lineno})")
+
+
+def load_file(path) -> Records:
+    """Read and validate an NSL-KDD text file; errors carry the 1-based line number.
+
+    The file is read in slices of `_SLICE_LINES` lines, twice: once to count
+    each slice's rows, so that the arrays are allocated once, and once to
+    parse each slice into views of them. Memory past the records does not
+    grow with the file, blank lines or not.
+    """
+    counts = [_slice_rows(lines)[1] for _, lines in _slices(path)]
+    records = _allocate(sum(counts))
+    # (row slice, that slice's sorted symbolic vocabularies) per slice
+    slices = []
+    start = 0
+    for (first, lines), count in zip(_slices(path), counts):
+        rows = slice(start, start + count)
+        start += count
+        if count:
+            try:
+                slices.append((rows, _parse_slice(_slice_rows(lines)[0], records.take(rows))))
+            except _ROW_ERRORS as exc:
+                raise _line_error(exc, lines, first) from None
+
+    # Merge the slices' vocabularies into the file's and recode each slice.
+    vocabs = []
+    for j in range(len(SYMBOLIC_INDICES)):
+        vocab = np.unique(np.concatenate([np.zeros(0, dtype=str), *(v[j] for _, v in slices)]))
+        for rows, slice_vocabs in slices:
+            codes = records.token_codes[rows, j]
+            codes[...] = np.searchsorted(vocab, slice_vocabs[j])[codes]
+        vocabs.append(vocab)
+    return replace(records, token_vocabs=tuple(vocabs))
 
 
 @dataclass
@@ -403,10 +418,6 @@ class FeatureSchema:
     @staticmethod
     def indices_of_kind(kind: str) -> tuple:
         return tuple(i for i, (_, k, _) in enumerate(FEATURE_TABLE) if k == kind)
-
-    @staticmethod
-    def indices_of_set(fset: str) -> tuple:
-        return tuple(i for i, (_, _, s) in enumerate(FEATURE_TABLE) if s == fset)
 
     @property
     def binary_indices(self) -> tuple:
@@ -469,11 +480,6 @@ def encode_batch(records: Records, schema: FeatureSchema) -> np.ndarray:
     x /= np.where(span > 0.0, span, 1.0)
     np.copyto(x, 0.0, where=span <= 0.0)
     return x
-
-
-def decode_value(schema: FeatureSchema, i: int, normalized: float) -> float:
-    """Invert the min-max map for one feature (constant features return fmin)."""
-    return schema.fmin[i] + normalized * (schema.fmax[i] - schema.fmin[i])
 
 
 def split_indices(records: Records, seed: int):

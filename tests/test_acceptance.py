@@ -200,7 +200,6 @@ def test_c6_numerical_suite(schema):
         x = rng.random((3, dims[0]))
         target = rng.normal(size=(3, dims[-1]))
         net.forward(x)
-        net.zero_grad()
         net.backward(2.0 * (net.forward(x) - target))
 
         def loss():

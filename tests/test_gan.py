@@ -155,7 +155,6 @@ class TestGeneratorLoss:
             gen, batch, mask, schema, noise, cache=True
         )
         critic.forward(continuous, cache=True)
-        critic.zero_grad()
         grad_in = critic.backward(np.full((8, 1), 1.0 / 8))
         gate = mask.modifiable[None, :] & (raw > 0.0) & (raw < 1.0)
         gated = grad_in * gate

@@ -87,7 +87,6 @@ class TestBackward:
         net.layers[0].weights[:] = -1.0
         net.layers[0].bias[:] = -1.0
         net.forward(np.array([[1.0, 1.0]]))
-        net.zero_grad()
         net.backward(np.ones((1, 1)))
         assert np.array_equal(net.layers[0].grad_weights, np.zeros((2, 2)))
 
@@ -103,7 +102,6 @@ class TestBackward:
             return float(((net.forward(x, cache=False) - target) ** 2).sum())
 
         net.forward(x)
-        net.zero_grad()
         grad_out = 2.0 * (net.forward(x) - target)
         net.backward(grad_out)
 
@@ -132,7 +130,6 @@ class TestBackward:
         net = Network((6, 8, 3), rng)
         x = rng.random((2, 6))
         net.forward(x)
-        net.zero_grad()
         grad_in = net.backward(np.ones((2, 3)))
         h = 1e-5
         for i in range(2):
@@ -313,14 +310,6 @@ class TestFlatBuffer:
         assert params[5 * 4 + 4 + 2 * 4 + 1] == 7.5
         assert params[5 * 4 + 3] == -2.0
 
-    def test_zero_grad_clears_every_layer(self):
-        net = Network((5, 4, 3), make_rng(1))
-        net.forward(make_rng(2).random((6, 5)))
-        net.backward(np.ones((6, 3)))
-        assert net.grads.any()
-        net.zero_grad()
-        assert all(not l.grad_weights.any() and not l.grad_bias.any() for l in net.layers)
-
 
 def unfused_rmsprop(p, cache, g, lr, rho, eps):
     """The RMSProp update written as plain expressions, fresh arrays each step."""
@@ -350,7 +339,6 @@ def test_backward_without_param_grads(dims):
     x = rng.random((16, dims[0]))
     upstream = rng.normal(size=(16, dims[-1]))
     net.forward(x)
-    net.zero_grad()
     full = net.backward(upstream)
     grads_after_full = net.grads.copy()
 
@@ -371,12 +359,10 @@ def test_backward_without_input_grad(dims):
     x = rng.random((16, dims[0]))
     upstream = rng.normal(size=(16, dims[-1]))
     net.forward(x)
-    net.zero_grad()
     net.backward(upstream)
     grads_after_full = net.grads.copy()
 
     net.forward(x)
-    net.zero_grad()
     assert net.backward(upstream, input_grad=False) is None
     assert np.array_equal(net.grads, grads_after_full)
     assert grads_after_full.any()
@@ -386,7 +372,8 @@ def reference_pass(layers, x, upstream, grads, param_grads, input_grad):
     """The per-layer math as plain expressions, with fresh arrays throughout.
 
     ``layers`` and ``grads`` are lists of (W, b) pairs; returns (output,
-    input gradient or None, the parameter gradients after accumulation).
+    input gradient or None, the parameter gradients after the pass, which
+    replace ``grads`` with `param_grads` and leave them as they were without).
     """
     inputs, out = [], x
     for k, (w, b) in enumerate(layers):
@@ -400,7 +387,7 @@ def reference_pass(layers, x, upstream, grads, param_grads, input_grad):
         if k < len(layers) - 1:
             grad = grad * (inputs[k + 1] > 0.0)
         if param_grads:
-            grads[k] = (grads[k][0] + grad.T @ inputs[k], grads[k][1] + grad.sum(axis=0))
+            grads[k] = (grad.T @ inputs[k], grad.sum(axis=0))
         grad = grad @ layers[k][0] if input_grad or k > 0 else None
     return out, grad, grads
 

@@ -189,7 +189,7 @@ class TestValidation:
 
 
 class TestSlices:
-    """`_parse` reads `_SLICE_LINES` lines at a time; the slice size never shows in the result."""
+    """`load_file` reads `_SLICE_LINES` lines at a time; the slice size never shows in the result."""
 
     SLICE = 3
 
@@ -250,25 +250,58 @@ class TestSlices:
         with pytest.raises(UnknownAttack, match=rf"\(line {10 if blank else 9}\)"):
             load_rows(tmp_path, rows)
 
-    def test_parse_memory_does_not_grow_with_the_file(self, tmp_path, monkeypatch):
-        """The tracemalloc peak past the file's bytes and the records stays flat from 4 to 32 slices.
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("n_lines", [1023, 1024, 1025])
+    def test_blank_lines_at_slice_boundaries(self, tmp_path, monkeypatch, newline, n_lines):
+        """Files around one default slice and three slices of 341 lines, blank lines at the cuts.
 
-        A whole-file parse would hold ~570 bytes a line of structured rows
-        on top: ~4 MB more at 8,192 lines than at 1,024.
+        Both slice sizes give the same records, which match the reference;
+        a bad row after the last cut still names its line.
+        """
+        blank = {0: "", 340: " \t", 341: "", 682: "  ", 1022: "", 1023: " "}
+        lines = [
+            blank.get(i) if i in blank else make_row(["0"] * 4 + [str(i)] + ["0"] * 36, label=_NAMES[i % 40])
+            for i in range(n_lines)
+        ]
+        path = tmp_path / "rows.txt"
+        path.write_bytes((newline.join(lines) + newline).encode())
+        whole = load_file(path)
+        monkeypatch.setattr(nslkdd, "_SLICE_LINES", 341)
+        sliced = load_file(path)
+        TestSlices.assert_same_records(sliced, whole)
+        assert_matches_reference(sliced, path)
+        assert len(sliced) == n_lines - sum(i < n_lines for i in blank)
+
+        lines[1021] = with_field("dst_bytes", "-1")
+        path.write_bytes((newline.join(lines) + newline).encode())
+        for slice_lines in (341, 1024):
+            monkeypatch.setattr(nslkdd, "_SLICE_LINES", slice_lines)
+            with pytest.raises(MalformedRecord, match=r"\(line 1022\)$"):
+                load_file(path)
+
+    @pytest.mark.parametrize("prefix", ["", "\n"], ids=["no-blank-line", "blank-line"])
+    def test_parse_memory_does_not_grow_with_the_file(self, tmp_path, monkeypatch, prefix):
+        """The tracemalloc peak past the records stays flat from 4 to 32 slices.
+
+        A leading blank line makes its slice drop blank lines, which must
+        not read the rest of the file whole. Holding the file's bytes would
+        add ~160 bytes a line, and a whole-file parse ~570: 1.1 to 4 MB more
+        at 8,192 lines than at 1,024.
         """
         monkeypatch.setattr(nslkdd, "_SLICE_LINES", 256)
         extra = {}
         for n in (1024, 1024, 8192):  # the first load warms numpy's one-time caches
             path = tmp_path / f"rows{n}.txt"
-            path.write_text("\n".join([HTTP_ROW] * n) + "\n")
+            path.write_text(prefix + "\n".join([HTTP_ROW] * n) + "\n")
             tracemalloc.start()
             try:
                 rec = load_file(path)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+            assert len(rec) == n
             kept = sum(a.nbytes for a in (rec.values, rec.token_codes, rec.category, rec.difficulty))
-            extra[n] = peak - kept - path.stat().st_size
+            extra[n] = peak - kept
         assert extra[8192] - extra[1024] < 100_000, extra
 
 
@@ -320,10 +353,11 @@ class TestFeatureTable:
         assert FeatureSchema.indices_of_kind(DISCRETE_BINARY) == BINARY_INDICES
 
     def test_set_partition(self):
-        assert FeatureSchema.indices_of_set(nslkdd.INTRINSIC) == tuple(range(0, 9))
-        assert FeatureSchema.indices_of_set(nslkdd.CONTENT) == tuple(range(9, 22))
-        assert FeatureSchema.indices_of_set(nslkdd.TIME_BASED) == tuple(range(22, 31))
-        assert FeatureSchema.indices_of_set(nslkdd.HOST_BASED) == tuple(range(31, 41))
+        sets = [fset for _, _, fset in nslkdd.FEATURE_TABLE]
+        assert sets == (
+            [nslkdd.INTRINSIC] * 9 + [nslkdd.CONTENT] * 13
+            + [nslkdd.TIME_BASED] * 9 + [nslkdd.HOST_BASED] * 10
+        )
 
 
 class TestBuildSchema:
@@ -337,7 +371,7 @@ class TestBuildSchema:
         # tcp/udp/icmp carry the numeric codes 1/2/3 before normalization
         rows = [make_row().replace("tcp", p) for p in ("tcp", "udp", "icmp")]
         encoded = encode_batch(load_rows(tmp_path, rows), schema)
-        decoded = [nslkdd.decode_value(schema, i, v) for v in encoded[:, i]]
+        decoded = [decode_value(schema, i, v) for v in encoded[:, i]]
         assert decoded == pytest.approx([1.0, 2.0, 3.0], rel=1e-12)
 
     def test_vocab_in_first_seen_order(self, tmp_path):
@@ -396,6 +430,11 @@ def encode_row(directory, row, schema):
     return encode_batch(load_rows(directory, [row]), schema)[0]
 
 
+def decode_value(schema, i, normalized):
+    """Invert the min-max map for one feature."""
+    return schema.fmin[i] + normalized * (schema.fmax[i] - schema.fmin[i])
+
+
 def reference_encode(records, schema):
     """Record-by-record, field-by-field encoding: the oracle for encode_batch."""
     out = np.empty((len(records), 41))
@@ -443,7 +482,7 @@ class TestEncode:
                 raw = schema.vocabs[i].index(rec.tokens[0, SYMBOLIC_INDICES.index(i)]) + 1
             else:
                 raw = rec.values[0, i]
-            back = nslkdd.decode_value(schema, i, enc[i])
+            back = decode_value(schema, i, enc[i])
             assert back == pytest.approx(raw, rel=1e-9)
 
     def test_unseen_token_clamps_to_top(self, toy_schema, tmp_path):
