@@ -90,10 +90,13 @@ class Network:
         out = np.asarray(x, dtype=float)
         if out.ndim != 2 or out.shape[1] != self.dims[0]:
             raise ShapeMismatch(f"expected (n, {self.dims[0]}) input, got {out.shape}")
+        # Without `cache` no layer input is kept, so each activation is
+        # freed as soon as the next layer has read it.
         inputs = []
         last = len(self.layers) - 1
         for k, layer in enumerate(self.layers):
-            inputs.append(out)
+            if cache:
+                inputs.append(out)
             out = out @ layer.weights.T
             out += layer.bias
             if k < last:
