@@ -31,7 +31,7 @@ ATTACK_GROUPS = {
 
 LOW_CONFIDENCE_DR = 0.02
 # Rows encoded per `encode_batch` call while ingest encodes a file in place.
-_ENCODE_ROWS = 1024
+_ENCODE_ROWS = 4096
 
 
 class EmptyEvaluationSet(ValueError):

@@ -250,6 +250,8 @@ _SU_ATTEMPTED = FEATURE_INDEX["su_attempted"]
 _ROW_ERRORS = (MalformedRecord, UnknownAttack)
 # Lines read and parsed at a time: ~0.6 MB of structured rows, whatever the file's size.
 _SLICE_LINES = 1024
+# Bytes read at a time while the file's line ends are counted.
+_COUNT_BYTES = 1 << 20
 
 
 def _allocate(n: int) -> Records:
@@ -263,36 +265,54 @@ def _allocate(n: int) -> Records:
     )
 
 
-def _slices(path):
-    """Yield (1-based number of its first line, its lines) per `_SLICE_LINES` lines of the file.
+def _line_bound(path) -> int:
+    """An upper bound on the file's lines: its line ends, plus one for a last unended line."""
+    n = 1
+    with open(path, "rb") as fh:
+        while block := fh.read(_COUNT_BYTES):
+            n += block.count(b"\n")
+            if b"\r" in block:
+                # A lone CR ends a line too. A CRLF split between two blocks
+                # counts twice, and the bound still holds.
+                n += block.count(b"\r") - block.count(b"\r\n")
+    return n
 
-    The file is read as latin-1 text with universal newlines: every byte is
-    one character, so a line keeps its bytes, and CRLF or a lone CR ends it
-    as in a UTF-8 text read.
+
+def _numbered_rows(data: bytes, first: int) -> list:
+    """(1-based line number, text) of each line of `data` that holds more than whitespace.
+
+    `first` is the number of its first line; invalid UTF-8 fails here.
     """
-    with open(path, encoding="latin-1", newline=None) as fh:
-        first = 1
-        while lines := list(itertools.islice(fh, _SLICE_LINES)):
-            yield first, lines
-            first += len(lines)
+    lines = data.decode("utf-8").replace("\r", "\n").split("\n")
+    return [(n, line) for n, line in enumerate(lines, first) if line.strip()]
 
 
-def _numbered_rows(lines: list, first: int) -> list:
-    """(1-based line number, text) of each line of a slice that holds more than whitespace.
+def _parse_lines(lines: list, first: int, records: Records, start: int) -> tuple:
+    """Parse one slice of a file into `records` from row `start`.
 
-    `first` is the number of the slice's first line; invalid UTF-8 fails here.
+    `lines` are the slice's lines as a binary read splits them, at LFs, and
+    `first` is the number of the first. Returns (the lines of text they
+    hold, the rows filled, those rows' sorted symbolic vocabularies).
     """
-    decoded = "".join(lines).encode("latin-1").decode("utf-8")
-    return [(n, line) for n, line in enumerate(decoded.split("\n"), first) if line.strip()]
-
-
-def _slice_rows(lines: list) -> tuple:
-    """(the rows of a slice's lines as UTF-8 bytes, their count); blank lines are dropped."""
-    data = "".join(lines).encode("latin-1")
-    if data.isascii() and not any(map(str.isspace, lines)):
-        return data, len(lines)
-    rows = _numbered_rows(lines, 1)
-    return "\n".join(line for _, line in rows).encode("utf-8"), len(rows)
+    data = b"".join(lines)
+    n_lines = len(lines)
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+        n_lines += data.count(b"\r")  # a lone CR ends a line too
+    # An empty line is the one or two bytes of its line end.
+    if data.isascii() and b"\r" not in data and min(map(len, lines)) > 2:
+        try:
+            return n_lines, n_lines, _parse_slice(data, records.take(slice(start, start + n_lines)))
+        except _ROW_ERRORS:
+            pass  # a line of whitespace or a bad row: look at the lines one by one
+    numbered = _numbered_rows(data, first)
+    if not numbered:
+        return n_lines, 0, ()
+    rows = "\n".join(line for _, line in numbered).encode("utf-8")
+    try:
+        return n_lines, len(numbered), _parse_slice(rows, records.take(slice(start, start + len(numbered))))
+    except _ROW_ERRORS as exc:
+        raise _line_error(exc, numbered) from None
 
 
 def _parse_slice(data: bytes, out: Records) -> tuple:
@@ -338,9 +358,8 @@ def _parse_slice(data: bytes, out: Records) -> tuple:
     return tuple(tokens for tokens, _ in symbolic)
 
 
-def _line_error(error: Exception, lines: list, first: int) -> Exception:
-    """`error`, raised by the slice `lines` whose first line is `first`, naming its failing line."""
-    numbered = _numbered_rows(lines, first)
+def _line_error(error: Exception, numbered: list) -> Exception:
+    """`error`, raised by the `_numbered_rows` `numbered`, naming the first line that fails."""
 
     def parse_rows(lo, hi):
         rows = "\n".join(line for _, line in numbered[lo:hi]).encode("utf-8")
@@ -370,24 +389,25 @@ def _line_error(error: Exception, lines: list, first: int) -> Exception:
 def load_file(path) -> Records:
     """Read and validate an NSL-KDD text file; errors carry the 1-based line number.
 
-    The file is read in slices of `_SLICE_LINES` lines, twice: once to count
-    each slice's rows, so that the arrays are allocated once, and once to
-    parse each slice into views of them. Memory past the records does not
-    grow with the file, blank lines or not.
+    The arrays are allocated once, for the upper bound on the rows that a
+    count of the file's line ends gives. The file is then read and parsed
+    `_SLICE_LINES` lines at a time into views of them, and the records are
+    the rows filled. Memory past the records does not grow with the file,
+    blank lines or not, unless its lines all end in a lone CR: it is cut
+    into slices at LFs.
     """
-    counts = [_slice_rows(lines)[1] for _, lines in _slices(path)]
-    records = _allocate(sum(counts))
+    records = _allocate(_line_bound(path))
     # (row slice, that slice's sorted symbolic vocabularies) per slice
     slices = []
-    start = 0
-    for (first, lines), count in zip(_slices(path), counts):
-        rows = slice(start, start + count)
-        start += count
-        if count:
-            try:
-                slices.append((rows, _parse_slice(_slice_rows(lines)[0], records.take(rows))))
-            except _ROW_ERRORS as exc:
-                raise _line_error(exc, lines, first) from None
+    start, first = 0, 1
+    with open(path, "rb") as fh:
+        while lines := list(itertools.islice(fh, _SLICE_LINES)):
+            n_lines, count, slice_vocabs = _parse_lines(lines, first, records, start)
+            if count:
+                slices.append((slice(start, start + count), slice_vocabs))
+                start += count
+            first += n_lines
+    records = records.take(slice(0, start))
 
     # Merge the slices' vocabularies into the file's and recode each slice.
     vocabs = []
