@@ -234,15 +234,20 @@ def map_attack(attack_name: str) -> AttackCategory:
 # NSL-KDD token, buffer_overflow, has 15 characters.
 _TOKEN_WIDTH = 16
 _FIRST_SYMBOLIC = SYMBOLIC_INDICES[0]
-_ROW_DTYPE = np.dtype(
-    [
-        ("head", np.float64, (_FIRST_SYMBOLIC,)),
-        ("symbolic", f"U{_TOKEN_WIDTH}", (len(SYMBOLIC_INDICES),)),
-        ("tail", np.float64, (N_FEATURES - _FIRST_SYMBOLIC - len(SYMBOLIC_INDICES),)),
-        ("label", f"U{_TOKEN_WIDTH}"),
-        ("difficulty", np.int64),
-    ]
-)
+# By whether the rows are all ASCII: their text fields are then read as
+# bytes, the same characters, which parse and sort faster than str.
+_ROW_DTYPES = {
+    is_ascii: np.dtype(
+        [
+            ("head", np.float64, (_FIRST_SYMBOLIC,)),
+            ("symbolic", f"{text}{_TOKEN_WIDTH}", (len(SYMBOLIC_INDICES),)),
+            ("tail", np.float64, (N_FEATURES - _FIRST_SYMBOLIC - len(SYMBOLIC_INDICES),)),
+            ("label", f"{text}{_TOKEN_WIDTH}"),
+            ("difficulty", np.int64),
+        ]
+    )
+    for is_ascii, text in ((True, "S"), (False, "U"))
+}
 # The text columns: the symbolic features, then the label.
 _TEXT_COLUMNS = (*SYMBOLIC_INDICES, N_FEATURES)
 _READ = dict(delimiter=",", comments=None, encoding="utf-8")
@@ -309,8 +314,9 @@ def _parse_lines(lines: list, first: int, records: Records, start: int) -> tuple
     if not numbered:
         return n_lines, 0, ()
     rows = "\n".join(line for _, line in numbered).encode("utf-8")
+    count = len(numbered)
     try:
-        return n_lines, len(numbered), _parse_slice(rows, records.take(slice(start, start + len(numbered))))
+        return n_lines, count, _parse_slice(rows, records.take(slice(start, start + count)))
     except _ROW_ERRORS as exc:
         raise _line_error(exc, numbered) from None
 
@@ -321,9 +327,10 @@ def _parse_slice(data: bytes, out: Records) -> tuple:
     ``out.token_codes`` receives positions in the slice's own sorted
     vocabularies, which are returned.
     """
+    dtype = _ROW_DTYPES[data.isascii()]
     try:
         # Every row must have exactly as many fields as the dtype.
-        rows = np.loadtxt(io.BytesIO(data), dtype=_ROW_DTYPE, ndmin=1, **_READ)
+        rows = np.loadtxt(io.BytesIO(data), dtype=dtype, ndmin=1, **_READ)
     except ValueError as exc:
         raise MalformedRecord(re.sub(r"at row \d+, ", "in ", str(exc))) from None
 
@@ -348,7 +355,7 @@ def _parse_slice(data: bytes, out: Records) -> tuple:
         distinct = [np.unique(c, return_inverse=True) for c in wide.T]
     coded = []
     for raw, inverse in distinct:
-        tokens, merged = np.unique(np.char.strip(raw), return_inverse=True)
+        tokens, merged = np.unique(np.char.strip(raw.astype(str)), return_inverse=True)
         coded.append((tokens, merged[inverse]))
     *symbolic, (labels, label_codes) = coded
     category = np.array([CATEGORIES.index(map_attack(n)) for n in labels.tolist()], dtype=np.int64)

@@ -259,10 +259,8 @@ class TestSlices:
         a bad row after the last cut still names its line.
         """
         blank = {0: "", 340: " \t", 341: "", 682: "  ", 1022: "", 1023: " "}
-        lines = [
-            blank.get(i) if i in blank else make_row(["0"] * 4 + [str(i)] + ["0"] * 36, label=_NAMES[i % 40])
-            for i in range(n_lines)
-        ]
+        rows = [make_row(["0"] * 4 + [str(i)] + ["0"] * 36, _NAMES[i % 40]) for i in range(n_lines)]
+        lines = [blank.get(i, row) for i, row in enumerate(rows)]
         path = tmp_path / "rows.txt"
         path.write_bytes((newline.join(lines) + newline).encode())
         whole = load_file(path)
