@@ -253,7 +253,7 @@ _TEXT_COLUMNS = (*SYMBOLIC_INDICES, N_FEATURES)
 _READ = dict(delimiter=",", comments=None, encoding="utf-8")
 _SU_ATTEMPTED = FEATURE_INDEX["su_attempted"]
 _ROW_ERRORS = (MalformedRecord, UnknownAttack)
-# Lines read and parsed at a time: ~0.6 MB of structured rows, whatever the file's size.
+# Lines read and parsed at a time: at most ~0.6 MB of structured rows, whatever the file's size.
 _SLICE_LINES = 1024
 # Bytes read at a time while the file's line ends are counted.
 _COUNT_BYTES = 1 << 20
