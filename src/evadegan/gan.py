@@ -268,16 +268,14 @@ def train(
                 # Only the adversarial rows are new to the detector, which
                 # sees them in their discrete form.
                 labels = np.concatenate([normal_labels[norm_idx], ids_model.predict(adv_disc)])
-                pred_normal = labels == detectors.LABEL_NORMAL
-                # A batch of one label cannot train the critic, so its rows
-                # are gathered only when it holds both.
-                if pred_normal.all() or not pred_normal.any():
-                    skipped += 1
-                    continue
                 critic_view = np.vstack([normals[norm_idx], adv_cont])
-                d_losses.append(
-                    critic_step(critic, opt_d, critic_view, pred_normal, config.clip_c)
-                )
+                pred_normal = labels == detectors.LABEL_NORMAL
+                try:
+                    d_losses.append(
+                        critic_step(critic, opt_d, critic_view, pred_normal, config.clip_c)
+                    )
+                except EmptyPartition:
+                    skipped += 1
 
         loss_g = float(np.mean(g_losses)) if g_losses else float("nan")
         loss_d = float(np.mean(d_losses)) if d_losses else float("nan")
