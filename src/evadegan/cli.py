@@ -26,7 +26,7 @@ import numpy as np
 
 from . import detectors, evaluate, gan, nn, nslkdd
 from .masks import ABLATION, FUNCTIONAL_ONLY, mask_for
-from .nslkdd import EmptyDataset, MalformedRecord, UnknownAttack
+from .nslkdd import EmptyDataset, MalformedRecord, UnknownAttack, UnreadableFile
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -37,6 +37,7 @@ EXIT_DIVERGED = 4
 DATA_ERRORS = (
     MalformedRecord,
     UnknownAttack,
+    UnreadableFile,
     EmptyDataset,
     evaluate.EmptyEvaluationSet,
     detectors.SingleClassData,

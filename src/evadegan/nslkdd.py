@@ -173,6 +173,10 @@ class EmptyDataset(ValueError):
     """Raised when schema construction receives no records."""
 
 
+class UnreadableFile(ValueError):
+    """Raised for an input that cannot be read twice from its start, or that grew in between."""
+
+
 @dataclass(frozen=True)
 class Records:
     """Parsed NSL-KDD rows in file order, one array per column group.
@@ -234,20 +238,15 @@ def map_attack(attack_name: str) -> AttackCategory:
 # NSL-KDD token, buffer_overflow, has 15 characters.
 _TOKEN_WIDTH = 16
 _FIRST_SYMBOLIC = SYMBOLIC_INDICES[0]
-# By whether the rows are all ASCII: their text fields are then read as
-# bytes, the same characters, which parse and sort faster than str.
-_ROW_DTYPES = {
-    is_ascii: np.dtype(
-        [
-            ("head", np.float64, (_FIRST_SYMBOLIC,)),
-            ("symbolic", f"{text}{_TOKEN_WIDTH}", (len(SYMBOLIC_INDICES),)),
-            ("tail", np.float64, (N_FEATURES - _FIRST_SYMBOLIC - len(SYMBOLIC_INDICES),)),
-            ("label", f"{text}{_TOKEN_WIDTH}"),
-            ("difficulty", np.int64),
-        ]
-    )
-    for is_ascii, text in ((True, "S"), (False, "U"))
-}
+_ROW_DTYPE = np.dtype(
+    [
+        ("head", np.float64, (_FIRST_SYMBOLIC,)),
+        ("symbolic", f"U{_TOKEN_WIDTH}", (len(SYMBOLIC_INDICES),)),
+        ("tail", np.float64, (N_FEATURES - _FIRST_SYMBOLIC - len(SYMBOLIC_INDICES),)),
+        ("label", f"U{_TOKEN_WIDTH}"),
+        ("difficulty", np.int64),
+    ]
+)
 # The text columns: the symbolic features, then the label.
 _TEXT_COLUMNS = (*SYMBOLIC_INDICES, N_FEATURES)
 _READ = dict(delimiter=",", comments=None, encoding="utf-8")
@@ -270,16 +269,15 @@ def _allocate(n: int) -> Records:
     )
 
 
-def _line_bound(path) -> int:
-    """An upper bound on the file's lines: its line ends, plus one for a last unended line."""
+def _line_bound(fh) -> int:
+    """An upper bound on the lines of the binary file `fh`, read to its end: its line ends, plus one."""
     n = 1
-    with open(path, "rb") as fh:
-        while block := fh.read(_COUNT_BYTES):
-            n += block.count(b"\n")
-            if b"\r" in block:
-                # A lone CR ends a line too. A CRLF split between two blocks
-                # counts twice, and the bound still holds.
-                n += block.count(b"\r") - block.count(b"\r\n")
+    while block := fh.read(_COUNT_BYTES):
+        n += block.count(b"\n")
+        if b"\r" in block:
+            # A lone CR ends a line too. A CRLF split between two blocks
+            # counts twice, and the bound still holds.
+            n += block.count(b"\r") - block.count(b"\r\n")
     return n
 
 
@@ -288,35 +286,33 @@ def _numbered_rows(data: bytes, first: int) -> list:
 
     `first` is the number of its first line; invalid UTF-8 fails here.
     """
-    lines = data.decode("utf-8").replace("\r", "\n").split("\n")
+    lines = data.decode("utf-8").split("\n")
     return [(n, line) for n, line in enumerate(lines, first) if line.strip()]
 
 
 def _parse_lines(lines: list, first: int, records: Records, start: int) -> tuple:
     """Parse one slice of a file into `records` from row `start`.
 
-    `lines` are the slice's lines as a binary read splits them, at LFs, and
-    `first` is the number of the first. Returns (the lines of text they
-    hold, the rows filled, those rows' sorted symbolic vocabularies).
+    `lines` are the slice's lines as a Latin-1 read with universal newlines
+    gives them, and `first` is the number of the first. Returns (the rows
+    filled, those rows' sorted symbolic vocabularies).
     """
-    data = b"".join(lines)
-    n_lines = len(lines)
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n")
-        n_lines += data.count(b"\r")  # a lone CR ends a line too
-    # An empty line is the one or two bytes of its line end.
-    if data.isascii() and b"\r" not in data and min(map(len, lines)) > 2:
+    # Latin-1 maps each byte to one character and back: these are the
+    # file's bytes, with every line end read as LF.
+    data = "".join(lines).encode("latin-1")
+    # An empty line is its LF alone.
+    if data.isascii() and min(map(len, lines)) > 1:
         try:
-            return n_lines, n_lines, _parse_slice(data, records.take(slice(start, start + n_lines)))
+            return len(lines), _parse_slice(data, records.take(slice(start, start + len(lines))))
         except _ROW_ERRORS:
             pass  # a line of whitespace or a bad row: look at the lines one by one
     numbered = _numbered_rows(data, first)
     if not numbered:
-        return n_lines, 0, ()
+        return 0, ()
     rows = "\n".join(line for _, line in numbered).encode("utf-8")
     count = len(numbered)
     try:
-        return n_lines, count, _parse_slice(rows, records.take(slice(start, start + count)))
+        return count, _parse_slice(rows, records.take(slice(start, start + count)))
     except _ROW_ERRORS as exc:
         raise _line_error(exc, numbered) from None
 
@@ -327,10 +323,9 @@ def _parse_slice(data: bytes, out: Records) -> tuple:
     ``out.token_codes`` receives positions in the slice's own sorted
     vocabularies, which are returned.
     """
-    dtype = _ROW_DTYPES[data.isascii()]
     try:
         # Every row must have exactly as many fields as the dtype.
-        rows = np.loadtxt(io.BytesIO(data), dtype=dtype, ndmin=1, **_READ)
+        rows = np.loadtxt(io.BytesIO(data), dtype=_ROW_DTYPE, ndmin=1, **_READ)
     except ValueError as exc:
         raise MalformedRecord(re.sub(r"at row \d+, ", "in ", str(exc))) from None
 
@@ -355,7 +350,7 @@ def _parse_slice(data: bytes, out: Records) -> tuple:
         distinct = [np.unique(c, return_inverse=True) for c in wide.T]
     coded = []
     for raw, inverse in distinct:
-        tokens, merged = np.unique(np.char.strip(raw.astype(str)), return_inverse=True)
+        tokens, merged = np.unique(np.char.strip(raw), return_inverse=True)
         coded.append((tokens, merged[inverse]))
     *symbolic, (labels, label_codes) = coded
     category = np.array([CATEGORIES.index(map_attack(n)) for n in labels.tolist()], dtype=np.int64)
@@ -396,24 +391,31 @@ def _line_error(error: Exception, numbered: list) -> Exception:
 def load_file(path) -> Records:
     """Read and validate an NSL-KDD text file; errors carry the 1-based line number.
 
-    The arrays are allocated once, for the upper bound on the rows that a
-    count of the file's line ends gives. The file is then read and parsed
-    `_SLICE_LINES` lines at a time into views of them, and the records are
-    the rows filled. Memory past the records does not grow with the file,
-    blank lines or not, unless its lines all end in a lone CR: it is cut
-    into slices at LFs.
+    The file is read twice. A count of its line ends bounds its rows, and
+    the arrays are allocated once for that bound; the file is then read
+    again from its start and parsed `_SLICE_LINES` lines at a time into
+    views of them, and the records are the rows filled. Memory past the
+    records does not grow with the file. A file that cannot be read from
+    its start again, such as a pipe, or that grows between the two reads
+    raises `UnreadableFile`.
     """
-    records = _allocate(_line_bound(path))
-    # (row slice, that slice's sorted symbolic vocabularies) per slice
-    slices = []
-    start, first = 0, 1
-    with open(path, "rb") as fh:
+    with open(path, encoding="latin-1", newline=None) as fh:
+        if not fh.seekable():
+            raise UnreadableFile(f"{path}: cannot read a pipe or other unseekable file")
+        bound = _line_bound(fh.buffer)
+        fh.seek(0)
+        records = _allocate(bound)
+        # (row slice, that slice's sorted symbolic vocabularies) per slice
+        slices = []
+        start, first = 0, 1
         while lines := list(itertools.islice(fh, _SLICE_LINES)):
-            n_lines, count, slice_vocabs = _parse_lines(lines, first, records, start)
+            if first - 1 + len(lines) > bound:
+                raise UnreadableFile(f"{path}: the file grew while it was read")
+            count, slice_vocabs = _parse_lines(lines, first, records, start)
             if count:
                 slices.append((slice(start, start + count), slice_vocabs))
                 start += count
-            first += n_lines
+            first += len(lines)
     records = records.take(slice(0, start))
 
     # Merge the slices' vocabularies into the file's and recode each slice.

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +225,18 @@ class TestPrepare:
     def test_missing_file_is_data_error(self, tmp_path):
         code = run_cli("prepare", "--train", str(tmp_path / "nope.txt"))
         assert code == EXIT_DATA
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_data_error(self, tmp_path, capsys):
+        """Ingest reads its files twice, so a pipe is refused by name."""
+        read_end, write_end = os.pipe()
+        os.close(write_end)
+        try:
+            code = run_cli("prepare", "--train", f"/dev/fd/{read_end}", "--out", str(tmp_path / "o"))
+        finally:
+            os.close(read_end)
+        assert code == EXIT_DATA
+        assert "unseekable" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command,train",

@@ -1,6 +1,7 @@
 """Parsing, validation, taxonomy, schema construction and encoding."""
 
 import hashlib
+import os
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from evadegan.nslkdd import (
     MalformedRecord,
     Records,
     UnknownAttack,
+    UnreadableFile,
     build_schema,
     encode_batch,
     load_file,
@@ -280,18 +282,19 @@ class TestSlices:
     def test_parse_memory_does_not_grow_with_the_file(self, tmp_path, monkeypatch):
         """The tracemalloc peak past the records stays flat from 4 to 32 slices.
 
-        Each file is read as it is and with a blank line prepended, which
-        makes its first slice drop blank lines and must not read the rest
-        of the file whole. Holding the file's bytes would add ~160 bytes a
-        line, and a whole-file parse ~570: 1.1 to 4 MB more at 8,192 lines
-        than at 1,024.
+        Each file is read as it is, with a blank line prepended, which makes
+        its first slice drop blank lines and must not read the rest of the
+        file whole, and with every line ended by a lone CR, which must be
+        cut into slices as well. Holding the file's bytes would add ~160
+        bytes a line, and a whole-file parse ~570: 1.1 to 4 MB more at 8,192
+        lines than at 1,024.
         """
         monkeypatch.setattr(nslkdd, "_SLICE_LINES", 256)
-        for prefix in ("", "\n"):
+        for prefix, newline in (("", "\n"), ("\n", "\n"), ("", "\r")):
             extra = {}
             for n in (1024, 1024, 8192):  # the first load warms numpy's one-time caches
                 path = tmp_path / f"rows{n}.txt"
-                path.write_text(prefix + "\n".join([HTTP_ROW] * n) + "\n")
+                path.write_bytes((prefix + newline.join([HTTP_ROW] * n) + newline).encode())
                 tracemalloc.start()
                 try:
                     rec = load_file(path)
@@ -301,7 +304,31 @@ class TestSlices:
                 assert len(rec) == n
                 arrays = (rec.values, rec.token_codes, rec.category, rec.difficulty)
                 extra[n] = peak - sum(a.nbytes for a in arrays)
-            assert extra[8192] - extra[1024] < 100_000, (prefix, extra)
+            assert extra[8192] - extra[1024] < 100_000, (prefix, newline, extra)
+
+
+class TestRereads:
+    """`load_file` reads a file twice: once to bound its rows, then to parse them."""
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_refused(self):
+        """A pipe cannot be read from its start again: refused, not read as empty."""
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write((HTTP_ROW + "\n").encode())
+        try:
+            with pytest.raises(UnreadableFile, match="unseekable"):
+                load_file(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+
+    def test_file_that_grows_between_the_reads(self, tmp_path, monkeypatch):
+        """More lines than the count found: refused, not a broadcast error."""
+        path = write_rows(tmp_path, [make_row()] * 5)
+        # as if the count had run before the last three rows were written
+        monkeypatch.setattr(nslkdd, "_line_bound", lambda fh: 3)
+        with pytest.raises(UnreadableFile, match="grew"):
+            load_file(path)
 
 
 class TestMapAttack:
