@@ -270,7 +270,7 @@ def _allocate(n: int) -> Records:
 
 
 def _line_bound(fh) -> int:
-    """An upper bound on the lines of the binary file `fh`, read to its end: its line ends, plus one."""
+    """A bound on the lines of the binary file `fh`, read to its end: its line ends, plus one."""
     n = 1
     while block := fh.read(_COUNT_BYTES):
         n += block.count(b"\n")
