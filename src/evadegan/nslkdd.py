@@ -284,10 +284,15 @@ def _line_bound(fh) -> int:
 def _numbered_rows(data: bytes, first: int) -> list:
     """(1-based line number, text) of each line of `data` that holds more than whitespace.
 
-    `first` is the number of its first line; invalid UTF-8 fails here.
+    `first` is the number of its first line. Invalid UTF-8 raises
+    `MalformedRecord` naming the line that holds it.
     """
-    lines = data.decode("utf-8").split("\n")
-    return [(n, line) for n, line in enumerate(lines, first) if line.strip()]
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = first + data.count(b"\n", 0, exc.start)
+        raise MalformedRecord(f"not UTF-8 text: {exc.reason} (line {lineno})") from None
+    return [(n, line) for n, line in enumerate(text.split("\n"), first) if line.strip()]
 
 
 def _parse_lines(lines: list, first: int, records: Records, start: int) -> tuple:

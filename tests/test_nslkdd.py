@@ -156,6 +156,15 @@ class TestValidation:
         with pytest.raises(UnknownAttack, match=r"\(line 2\)"):
             load_rows(tmp_path, [make_row(), make_row(label="not_an_attack")])
 
+    @pytest.mark.parametrize("slice_lines", [1024, 2])
+    def test_invalid_utf8_names_its_line(self, tmp_path, monkeypatch, slice_lines):
+        """A data error naming the line, in the first slice or a later one."""
+        monkeypatch.setattr(nslkdd, "_SLICE_LINES", slice_lines)
+        path = tmp_path / "rows.txt"
+        path.write_bytes("\n".join([make_row()] * 3 + ["x\xff"]).encode("latin-1"))
+        with pytest.raises(MalformedRecord, match=r"^not UTF-8 text: .* \(line 4\)$"):
+            load_file(path)
+
     def test_blank_lines_skipped_and_counted(self, tmp_path):
         rows = ["", make_row(), "   ", "", make_row(label=" Neptune ")]
         rec = load_rows(tmp_path, rows)
