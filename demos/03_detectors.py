@@ -2,8 +2,8 @@
 """Train all seven black-box detectors and report per-category detection.
 
 Each detector trains on the encoded detector half (binary labels: normal
-vs any attack) and is then scored on the held-out test file, broken down
-by attack category.
+vs any attack), seeded as the experiment grid seeds it, and is then scored
+on the held-out test file, broken down by attack category.
 """
 
 import argparse
@@ -11,8 +11,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from evadegan import detectors, nslkdd, synthetic
-from evadegan.evaluate import detector_labels
+from evadegan import detectors, evaluate, nslkdd, synthetic
 from evadegan.nslkdd import AttackCategory
 
 
@@ -31,14 +30,11 @@ def main():
         synthetic.write_corpus_pair(train_path, test_path, 6000, 2500, seed=args.seed)
         print(f"wrote synthetic corpus pair -> {d}")
 
-    train = nslkdd.load_file(train_path)
+    # The detectors alone: a grid with no attack groups has no cells.
+    config = evaluate.ExperimentConfig(str(train_path), master_seed=args.seed, attacks=())
+    inputs = evaluate.prepare_grid_inputs(config)
     test = nslkdd.load_file(test_path)
-    ids_half, _ = nslkdd.split_train(train, seed=args.seed)
-    schema = nslkdd.build_schema(ids_half)
-
-    X = nslkdd.encode_batch(ids_half, schema)
-    y = detector_labels(ids_half)
-    Xt = nslkdd.encode_batch(test, schema)
+    Xt = nslkdd.encode_batch(test, inputs.schema)
     groups = [
         c for c in (AttackCategory.DOS, AttackCategory.PROBE, AttackCategory.U2R, AttackCategory.R2L)
         if test.is_in((c,)).any()
@@ -49,14 +45,10 @@ def main():
 
     for algorithm in detectors.ALGORITHMS:
         t0 = time.time()
-        model = detectors.fit(
-            algorithm, X, y, seed=args.seed, schema_fingerprint=schema.fingerprint()
-        )
-        train_acc = float((model.predict(X) == y).mean())
+        model = evaluate.fit_detector(inputs, config, algorithm).model
+        train_acc = float((model.predict(inputs.ids_X) == inputs.ids_y).mean())
         pred = model.predict(Xt)
-        drs = []
-        for g in groups:
-            drs.append(float((pred[test.is_in((g,))] == detectors.LABEL_ATTACK).mean()))
+        drs = [evaluate.detection_rate(pred[test.is_in((g,))]) for g in groups]
         normal = test.is_in((AttackCategory.NORMAL,))
         false_alarm = float((pred[normal] == detectors.LABEL_ATTACK).mean())
         dr_text = "  ".join(f"{100 * v:6.2f}%" for v in drs)

@@ -75,8 +75,12 @@ def _parse_scalar(text: str):
 
 def parse_config_file(path) -> dict:
     """Read ``key = value`` lines; a '#' at a line's start or after whitespace starts a comment."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = _COMMENT.split(line, maxsplit=1)[0].strip()
         if not line:
             continue
@@ -370,7 +374,7 @@ def main(argv=None) -> int:
             print(f"data error: {exc}", file=sys.stderr)
             return EXIT_DATA
         raise
-    except (*DATA_ERRORS, FileNotFoundError) as exc:
+    except DATA_ERRORS as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -76,6 +76,7 @@ class ClassifierModel:
         self.schema_fingerprint = schema_fingerprint
 
     def fit(self, X, y, rng):
+        """Train on a float64 (n, d) ``X`` and int labels ``y``: `fit` converts them once."""
         raise NotImplementedError
 
     def predict(self, X) -> np.ndarray:
@@ -100,13 +101,10 @@ class ClassifierModel:
             "schema_fingerprint": self.schema_fingerprint,
         }
 
-    def save(self, path) -> None:
-        save_blob(path, self._arrays(), meta=self.manifest())
-
 
 def _to_signed(y):
     """{0,1} labels -> {-1,+1} with attack = +1."""
-    return np.where(np.asarray(y) == LABEL_ATTACK, 1.0, -1.0)
+    return np.where(y == LABEL_ATTACK, 1.0, -1.0)
 
 
 class AffineModel(ClassifierModel):
@@ -130,7 +128,6 @@ class LinearSVM(AffineModel):
     algorithm = "svm"
 
     def fit(self, X, y, rng):
-        X = np.asarray(X, dtype=float)
         ys = _to_signed(y)
         n, d = X.shape
         lam = self.hyperparams["lam"]
@@ -160,8 +157,6 @@ class GaussianNB(ClassifierModel):
     algorithm = "nb"
 
     def fit(self, X, y, rng):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y)
         floor = self.hyperparams["var_floor"]
         self.mean = np.zeros((2, X.shape[1]))
         self.var = np.zeros((2, X.shape[1]))
@@ -197,8 +192,6 @@ class MlpClassifier(ClassifierModel):
     algorithm = "mlp"
 
     def fit(self, X, y, rng):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
         n, d = X.shape
         hidden = tuple(self.hyperparams["hidden"])
         self.net = nn.Network((d, *hidden, 2), rng)
@@ -240,8 +233,6 @@ class LogisticRegression(AffineModel):
     algorithm = "lr"
 
     def fit(self, X, y, rng):
-        X = np.asarray(X, dtype=float)
-        y01 = np.asarray(y, dtype=float)
         n, d = X.shape
         lr = self.hyperparams["learning_rate"]
         batch = min(self.hyperparams["batch_size"], n)
@@ -252,7 +243,7 @@ class LogisticRegression(AffineModel):
             for start in range(0, n, batch):
                 idx = order[start : start + batch]
                 p = _sigmoid(X[idx] @ self.w + self.b)
-                err = p - y01[idx]
+                err = p - y[idx]
                 self.w -= lr * (X[idx].T @ err) / len(idx)
                 self.b -= lr * err.mean()
         return self
@@ -416,9 +407,8 @@ class DecisionTree(ForestModel):
     algorithm = "dt"
 
     def fit(self, X, y, rng):
-        X = np.asarray(X, dtype=float)
         self.n_features = X.shape[1]
-        self._grow([(X, np.asarray(y, dtype=int))])
+        self._grow([(X, y)])
         return self
 
 
@@ -428,8 +418,6 @@ class RandomForest(ForestModel):
     algorithm = "rf"
 
     def fit(self, X, y, rng):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
         n = X.shape[0]
         self.n_features = X.shape[1]
 
@@ -453,8 +441,6 @@ class KNearestNeighbors(ClassifierModel):
     algorithm = "knn"
 
     def fit(self, X, y, rng):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
         cap = self.hyperparams["max_reference"]
         if cap and len(X) > cap:
             keep = rng.choice(len(X), size=cap, replace=False)
@@ -550,7 +536,7 @@ def fit(
 
 def save_model(model: ClassifierModel, path) -> None:
     """Write the model blob and a JSON manifest beside it."""
-    model.save(path)
+    save_blob(path, model._arrays(), meta=model.manifest())
     Path(path).with_suffix(".manifest.json").write_text(
         json.dumps(model.manifest(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

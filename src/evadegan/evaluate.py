@@ -417,19 +417,22 @@ def _in_worker(fn, task):
 
 
 @contextmanager
-def _task_map(inputs, config: ExperimentConfig):
+def _task_map(inputs, config: ExperimentConfig, most_tasks: int):
     """Lazy map(fn, tasks) calling fn(inputs, config, task), results in task order.
 
-    A generator, or with ``config.jobs > 1`` a fork pool's ``imap`` running
-    one task per chunk. Consume the results inside the ``with`` block.
+    A fork pool's ``imap`` running one task per chunk, with ``config.jobs``
+    workers capped at `most_tasks`, the longest task list the map is given;
+    with one worker, a generator and no pool. Consume the results inside the
+    ``with`` block.
     """
-    if config.jobs <= 1:
+    workers = min(config.jobs, most_tasks)
+    if workers <= 1:
         yield lambda fn, tasks: (fn(inputs, config, t) for t in tasks)
         return
     import multiprocessing  # only here: the import alone adds ~0.6 MB to a serial run
 
     with multiprocessing.get_context("fork").Pool(
-        config.jobs, initializer=_start_worker, initargs=(inputs, config)
+        workers, initializer=_start_worker, initargs=(inputs, config)
     ) as pool:
         yield lambda fn, tasks: pool.imap(partial(_in_worker, fn), tasks, chunksize=1)
 
@@ -446,7 +449,8 @@ def run_experiment(config: ExperimentConfig, on_cell=None) -> ExperimentResult:
     """
     inputs = prepare_grid_inputs(config)
     results = []
-    with _task_map(inputs, config) as task_map:
+    n_cells = len(config.algorithms) * len(config.attacks) * len(config.settings)
+    with _task_map(inputs, config, max(len(config.algorithms), n_cells)) as task_map:
         inputs.detectors.update(task_map(_fit_task, config.algorithms))
         cells = [
             (algorithm, attack, setting, inputs.detectors[algorithm])

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nslkdd import (
+    BINARY_INDICES,
     CONTENT,
-    DISCRETE_BINARY,
     FEATURE_INDEX,
     FEATURE_NAMES,
     FEATURE_TABLE,
@@ -130,7 +130,7 @@ def apply_mask_batch(
 
 
 # Binary columns are fixed by FEATURE_TABLE, so every schema shares them.
-_BINARY_COLUMNS = list(FeatureSchema.indices_of_kind(DISCRETE_BINARY))
+_BINARY_COLUMNS = list(BINARY_INDICES)
 
 
 def postprocess(vector: np.ndarray, schema: FeatureSchema) -> np.ndarray:
@@ -140,8 +140,5 @@ def postprocess(vector: np.ndarray, schema: FeatureSchema) -> np.ndarray:
     """
     vector = np.asarray(vector, dtype=float)
     out = np.clip(vector, 0.0, 1.0)
-    if out.ndim == 1:
-        out[_BINARY_COLUMNS] = np.where(out[_BINARY_COLUMNS] >= 0.5, 1.0, 0.0)
-    else:
-        out[:, _BINARY_COLUMNS] = np.where(out[:, _BINARY_COLUMNS] >= 0.5, 1.0, 0.0)
+    out[..., _BINARY_COLUMNS] = np.where(out[..., _BINARY_COLUMNS] >= 0.5, 1.0, 0.0)
     return out

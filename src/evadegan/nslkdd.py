@@ -91,7 +91,6 @@ FEATURE_NAMES = tuple(name for name, _, _ in FEATURE_TABLE)
 FEATURE_INDEX = {name: i for i, name in enumerate(FEATURE_NAMES)}
 SYMBOLIC_INDICES = tuple(i for i, (_, kind, _) in enumerate(FEATURE_TABLE) if kind == DISCRETE_MULTI)
 BINARY_INDICES = tuple(i for i, (_, kind, _) in enumerate(FEATURE_TABLE) if kind == DISCRETE_BINARY)
-NUMERIC_INDICES = tuple(i for i in range(N_FEATURES) if i not in SYMBOLIC_INDICES)
 
 # protocol_type order is fixed so tcp/udp/icmp always encode as 1/2/3.
 PROTOCOL_SEED = ("tcp", "udp", "icmp")
@@ -174,7 +173,7 @@ class EmptyDataset(ValueError):
 
 
 class UnreadableFile(ValueError):
-    """Raised for an input that cannot be read twice from its start, or that grew in between."""
+    """Raised for an input that cannot be opened or read twice, or that grew in between."""
 
 
 @dataclass(frozen=True)
@@ -306,11 +305,11 @@ def _parse_lines(lines: list, first: int, records: Records, start: int) -> tuple
     # file's bytes, with every line end read as LF.
     data = "".join(lines).encode("latin-1")
     # An empty line is its LF alone.
-    if data.isascii() and min(map(len, lines)) > 1:
+    if min(map(len, lines)) > 1:
         try:
             return len(lines), _parse_slice(data, records.take(slice(start, start + len(lines))))
         except _ROW_ERRORS:
-            pass  # a line of whitespace or a bad row: look at the lines one by one
+            pass  # a line of whitespace, invalid UTF-8 or a bad row: look at the lines one by one
     numbered = _numbered_rows(data, first)
     if not numbered:
         return 0, ()
@@ -400,11 +399,15 @@ def load_file(path) -> Records:
     the arrays are allocated once for that bound; the file is then read
     again from its start and parsed `_SLICE_LINES` lines at a time into
     views of them, and the records are the rows filled. Memory past the
-    records does not grow with the file. A file that cannot be read from
-    its start again, such as a pipe, or that grows between the two reads
-    raises `UnreadableFile`.
+    records does not grow with the file. A path that cannot be opened, a
+    file that cannot be read from its start again, such as a pipe, or one
+    that grows between the two reads raises `UnreadableFile`.
     """
-    with open(path, encoding="latin-1", newline=None) as fh:
+    try:
+        fh = open(path, encoding="latin-1", newline=None)
+    except OSError as exc:
+        raise UnreadableFile(f"{path}: {exc.strerror or exc}") from None
+    with fh:
         if not fh.seekable():
             raise UnreadableFile(f"{path}: cannot read a pipe or other unseekable file")
         bound = _line_bound(fh.buffer)
@@ -447,15 +450,9 @@ class FeatureSchema:
     fmin: np.ndarray = None
     fmax: np.ndarray = None
 
-    names = FEATURE_NAMES
-
-    @staticmethod
-    def indices_of_kind(kind: str) -> tuple:
-        return tuple(i for i, (_, k, _) in enumerate(FEATURE_TABLE) if k == kind)
-
     @property
     def binary_indices(self) -> tuple:
-        return self.indices_of_kind(DISCRETE_BINARY)
+        return BINARY_INDICES
 
     def to_text(self) -> str:
         """Render the schema as a line-oriented text artifact; its SHA-256 is the fingerprint."""

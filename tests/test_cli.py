@@ -76,6 +76,17 @@ class TestConfigParsing:
     def test_missing_train_path_is_config_error(self):
         assert run_cli("prepare") == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "name", ["missing.cfg", ".", "latin1.cfg"], ids=["missing", "directory", "not-utf8"]
+    )
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, name):
+        (tmp_path / "latin1.cfg").write_bytes(b"seed = 1 # caf\xe9\n")
+        out = tmp_path / "o"
+        code = run_cli("evaluate", "--config", str(tmp_path / name), "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert "cannot read config file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_algorithm_is_config_error(self, corpus_dir):
         code = run_cli(
             "prepare", "--train", str(corpus_dir / "train.txt"), "--ids", "lstm"
@@ -225,6 +236,23 @@ class TestPrepare:
     def test_missing_file_is_data_error(self, tmp_path):
         code = run_cli("prepare", "--train", str(tmp_path / "nope.txt"))
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("prepare", "--train"), ("train-ids", "--train"), ("evaluate", "--train"),
+         ("evaluate", "--test")],
+    )
+    def test_directory_as_data_file_is_data_error(self, corpus_dir, tmp_path, capsys, command,
+                                                  flag):
+        """A path that cannot be opened is a data error naming it; nothing is written."""
+        paths = {"--train": corpus_dir / "train.txt", "--test": corpus_dir / "test.txt"}
+        paths[flag] = tmp_path
+        out = tmp_path / "o"
+        data = [str(a) for item in paths.items() for a in item]
+        code = run_cli(command, *data, "--ids", "nb", "--attack", "dos", "--out", str(out))
+        assert code == EXIT_DATA
+        assert f"data error: {tmp_path}: " in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_pipe_is_data_error(self, tmp_path, capsys):

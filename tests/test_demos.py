@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from evadegan import synthetic
+from evadegan import gan, synthetic
+from evadegan.evaluate import ExperimentConfig, run_experiment
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -39,3 +40,31 @@ def test_demo_runs(demo, args, expected, tiny_corpus, tmp_path, monkeypatch, cap
     monkeypatch.setattr(sys, "argv", [demo] + [a.format(**paths) for a in args])
     runpy.run_path(str(DEMOS / demo), run_name="__main__")
     assert expected in capsys.readouterr().out
+
+
+def test_demo_04_reports_the_evaluate_cell(tiny_corpus, tmp_path, monkeypatch, capsys):
+    """Demo 04 runs the grid's cell: its trace bytes and DRs are `run_experiment`'s."""
+    train, test = str(tiny_corpus / "train.txt"), str(tiny_corpus / "test.txt")
+    cell = ("nb", "dos", "ablation")
+    args = ["--train", train, "--test", test, "--ids", "nb", "--setting", "ablation",
+            "--epochs", "2", "--seed", "5", "--out", str(tmp_path)]
+    monkeypatch.setattr(sys, "argv", ["04_evasion_attack.py", *args])
+    runpy.run_path(str(DEMOS / "04_evasion_attack.py"), run_name="__main__")
+    out = capsys.readouterr().out
+
+    config = ExperimentConfig(
+        train_path=train,
+        test_path=test,
+        master_seed=5,
+        algorithms=cell[:1],
+        attacks=cell[1:2],
+        settings=cell[2:],
+        gan=gan.TrainConfig(epochs=2),
+    )
+    result = run_experiment(config)
+    gan.write_trace_csv(tmp_path / "evaluate.csv", result.traces[cell])
+    demo_trace = tmp_path / "trace_nb_dos_ablation.csv"
+    assert demo_trace.read_bytes() == (tmp_path / "evaluate.csv").read_bytes()
+    (row,) = result.report.rows
+    assert f"original detection rate on test attacks: {100 * row.original_dr:.2f}%" in out
+    assert f"adversarial detection rate: {100 * row.adversarial_dr:.2f}% " in out

@@ -4,6 +4,7 @@ import ctypes
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
 from collections import Counter
 from pathlib import Path
@@ -233,9 +234,27 @@ class TestRunExperiment:
         if get_threads is None:
             pytest.skip("numpy's BLAS has no scipy-openblas thread control")
         before = get_threads()
-        with evaluate._task_map(None, ExperimentConfig(jobs=2)) as task_map:
+        with evaluate._task_map(None, ExperimentConfig(jobs=2), 4) as task_map:
             assert list(task_map(_blas_threads, range(4))) == [1, 1, 1, 1]
         assert get_threads() == before  # the parent process keeps its setting
+
+    @pytest.mark.parametrize("attacks,workers", [(("dos",), 0), (("dos", "u2r_r2l"), 2)])
+    def test_pool_starts_no_more_workers_than_tasks(self, corpus_dir, attacks, workers):
+        # one fit and one or two cells under --jobs 4: one task runs
+        # serially, two run in a pool of two
+        config = ExperimentConfig(
+            train_path=str(corpus_dir / "train.txt"),
+            algorithms=("nb",),
+            attacks=attacks,
+            settings=("functional_only",),
+            gan=gan.TrainConfig(epochs=1, probe_size=32),
+            jobs=4,
+        )
+        live = []
+        run_experiment(config, on_cell=lambda key, cell: live.append(
+            len(multiprocessing.active_children())
+        ))
+        assert live == [workers] * len(attacks)
 
     def test_cell_error_carries_context(self, corpus_dir):
         config = ExperimentConfig(

@@ -18,7 +18,7 @@ from evadegan.masks import (
     mask_for,
     postprocess,
 )
-from evadegan.nslkdd import FEATURE_TABLE, AttackCategory, FeatureSchema
+from evadegan.nslkdd import FEATURE_TABLE, AttackCategory
 
 
 def indices_of_set(fset):
@@ -68,7 +68,7 @@ class TestFunctionalMask:
     )
     def test_multi_valued_features_never_modifiable(self, cat):
         m = functional_mask(cat)
-        for i in FeatureSchema.indices_of_kind(nslkdd.DISCRETE_MULTI):
+        for i in nslkdd.SYMBOLIC_INDICES:
             assert not m.modifiable[i]
 
     def test_normal_has_no_mask(self):

@@ -18,7 +18,6 @@ from evadegan.nslkdd import (
     DISCRETE_BINARY,
     DISCRETE_MULTI,
     FEATURE_NAMES,
-    NUMERIC_INDICES,
     SYMBOLIC_INDICES,
     AttackCategory,
     EmptyDataset,
@@ -72,10 +71,11 @@ def reference_parse(path):
     values, tokens, categories, difficulties = [], [], [], []
     with open(path, encoding="utf-8") as fh:  # universal newlines, as a text read
         lines = [line for line in fh.read().split("\n") if line.strip()]
+    numeric = [i for i in range(41) if i not in SYMBOLIC_INDICES]
     for line in lines:
         fields = line.split(",")
         row = [0.0] * 41
-        for i in NUMERIC_INDICES:
+        for i in numeric:
             row[i] = float(fields[i])
             if FEATURE_NAMES[i] == "su_attempted" and row[i] == 2.0:
                 row[i] = 0.0
@@ -381,11 +381,13 @@ class TestMapAttack:
 class TestFeatureTable:
     def test_counts(self):
         # 9 discrete features total: 3 multi-valued and 6 binary
-        assert len(FeatureSchema.indices_of_kind(DISCRETE_MULTI)) == 3
-        assert len(FeatureSchema.indices_of_kind(DISCRETE_BINARY)) == 6
+        kinds = [kind for _, kind, _ in nslkdd.FEATURE_TABLE]
+        assert len(SYMBOLIC_INDICES) == 3
+        assert len(BINARY_INDICES) == 6
         assert len(FEATURE_NAMES) == 41
-        assert FeatureSchema.indices_of_kind(DISCRETE_MULTI) == SYMBOLIC_INDICES
-        assert FeatureSchema.indices_of_kind(DISCRETE_BINARY) == BINARY_INDICES
+        assert SYMBOLIC_INDICES == tuple(i for i, k in enumerate(kinds) if k == DISCRETE_MULTI)
+        assert BINARY_INDICES == tuple(i for i, k in enumerate(kinds) if k == DISCRETE_BINARY)
+        assert FeatureSchema().binary_indices == BINARY_INDICES
 
     def test_set_partition(self):
         sets = [fset for _, _, fset in nslkdd.FEATURE_TABLE]
