@@ -29,6 +29,9 @@ def main():
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--out", help="directory for the trace CSV")
     args = parser.parse_args()
+    unbuildable = evaluate.cells_without_mask([args.attack], [args.setting])
+    if unbuildable:
+        parser.error(f"the cell has no constraint mask: {unbuildable[0]}")
 
     if args.train and args.test:
         train_path, test_path = Path(args.train), Path(args.test)

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import detectors, evaluate, gan, nn, nslkdd
-from .masks import ABLATION, FUNCTIONAL_ONLY, mask_for
+from .masks import ABLATION, FUNCTIONAL_ONLY
 from .nslkdd import EmptyDataset, MalformedRecord, UnknownAttack, UnreadableFile
 
 EXIT_OK = 0
@@ -197,13 +197,7 @@ def build_run_config(args) -> evaluate.ExperimentConfig:
         raise ConfigError(f"gan: {exc}") from None
     if config.train_path is None:
         raise ConfigError("no training data path (data.train / --train)")
-    unbuildable = []
-    for attack in config.attacks:
-        for setting in config.settings:
-            try:
-                mask_for(evaluate.ATTACK_GROUPS[attack][0], setting)
-            except ValueError as exc:
-                unbuildable.append(f"{attack}/{setting} ({exc})")
+    unbuildable = evaluate.cells_without_mask(config.attacks, config.settings)
     if unbuildable:
         raise ConfigError(f"the grid has cells with no constraint mask: {'; '.join(unbuildable)}")
     for key, text in _rendered_pairs(config).items():

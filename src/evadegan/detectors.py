@@ -8,11 +8,13 @@ on the shape of the product call, so a record within rounding of a
 decision boundary (for k-NN, a near-tie at the k-th neighbour) can change
 label with the rows batched around it. Reproducible runs therefore rest on
 fixed call shapes, not on batch independence: k-NN computes its distances
-with one product per block of KNN_BLOCK_ROWS query rows, and a run labels
-its generator-half normals in one call per detector. Each block's distances
-are then finished and ranked in slices of KNN_SLICE_ROWS rows; every row is
-finished and ranked on its own, so the slicing cannot change a label. Vote
-ties break toward "attack": the conservative call for a detector.
+with one product per slice of KNN_SLICE_ROWS query rows, and a run labels
+its generator-half normals in one call per detector. k-NN ranks only the
+references that can be among a row's k nearest: those at or under the k-th
+smallest of its minima over groups of KNN_GROUP_ROWS references. A row with
+a tie at the k-th distance is ranked whole, so its choice among the tied
+references, and with it every label, is that of ranking every reference.
+Vote ties break toward "attack": the conservative call for a detector.
 
 Two pairs of models share one decision rule each. svm and lr label attack
 where ``x·w + b >= 0`` and differ only in their fit. dt is a forest of one
@@ -46,11 +48,11 @@ DEFAULT_HYPERPARAMS = {
 
 MODEL_FORMAT_VERSION = 2
 
-# Query rows per k-NN distance block (the GAN's critic batch is 128 rows).
-KNN_BLOCK_ROWS = 128
-# Rows of a block whose distances are finished and ranked together, so the
-# ranking's scratch stays small and the passes stay in cache.
+# Query rows whose k-NN distances are computed, finished and ranked together,
+# so the scratch stays small and the passes stay in cache.
 KNN_SLICE_ROWS = 16
+# References per group whose minimum distance bounds a row's k nearest.
+KNN_GROUP_ROWS = 32
 
 
 class SingleClassData(ValueError):
@@ -454,48 +456,81 @@ class KNearestNeighbors(ClassifierModel):
         X = self._check_input(X, self.ref_X.shape[1])
         k = min(self.hyperparams["k"], len(self.ref_y))
         out = np.empty(X.shape[0], dtype=int)
-        block = self._distance_block()
-        for start in range(0, X.shape[0], KNN_BLOCK_ROWS):
-            q = X[start : start + KNN_BLOCK_ROWS]
-            dist = block[: len(q)]
-            # One product per block gives 2 q.r: doubling is exact, so
+        scratch = self._slice_scratch()
+        for start in range(0, X.shape[0], KNN_SLICE_ROWS):
+            q = X[start : start + KNN_SLICE_ROWS]
+            cross, dist = scratch[:, : len(q)]
+            # One product per slice gives 2 q.r: doubling is exact, so
             # doubling q first equals doubling the product.
-            np.matmul(q + q, self.ref_X.T, out=dist)
-            q_sq = (q * q).sum(axis=1)
-            for s in range(0, len(q), KNN_SLICE_ROWS):
-                d = dist[s : s + KNN_SLICE_ROWS]
-                # |q|^2 + |r|^2 - 2 q.r, in that order. The row-constant
-                # |q|^2 stays: dropping it changes the rounding.
-                np.subtract(q_sq[s : s + KNN_SLICE_ROWS, None] + self.ref_sq, d, out=d)
-                # No name holds the index array, so it is freed here, not
-                # after the next slice's search.
-                attack = self.ref_y[np.argpartition(d, k - 1, axis=1)[:, :k]].sum(axis=1)
-                # ties go to attack
-                out[start + s : start + s + len(d)] = np.where(
-                    attack * 2 >= k, LABEL_ATTACK, LABEL_NORMAL
-                )
+            np.matmul(q + q, self.ref_X.T, out=cross)
+            # |q|^2 + |r|^2 - 2 q.r, in that order. The row-constant
+            # |q|^2 stays: dropping it changes the rounding.
+            np.add((q * q).sum(axis=1)[:, None], self.ref_sq, out=dist)
+            np.subtract(dist, cross, out=dist)
+            attack = _nearest_attack_votes(dist, self.ref_y, k)
+            # ties go to attack
+            out[start : start + len(q)] = np.where(attack * 2 >= k, LABEL_ATTACK, LABEL_NORMAL)
         return out
 
-    def _distance_block(self):
-        """Scratch for one block of queries: 2 q.r, finished in place into distances.
+    def _slice_scratch(self):
+        """Scratch for one slice of queries: 2 q.r and the distances, each (KNN_SLICE_ROWS, R).
 
-        Peak memory is set by this block, not by the number of queries; the
-        neighbour search's index array and the distance sums take only a
-        slice of KNN_SLICE_ROWS rows at a time. The block is kept between
-        calls: faulting in fresh pages for it on every call costs more than
-        the distance arithmetic. A pickled copy of the model starts without
-        it.
+        Peak memory is set by these two buffers, not by the number of
+        queries. They are kept between calls: faulting in fresh pages for
+        them on every call costs more than the distance arithmetic. A
+        pickled copy of the model starts without them.
         """
-        shape = (KNN_BLOCK_ROWS, len(self.ref_y))
-        if getattr(self, "_block", None) is None or self._block.shape != shape:
-            self._block = np.empty(shape)
-        return self._block
+        shape = (2, KNN_SLICE_ROWS, len(self.ref_y))
+        if getattr(self, "_scratch", None) is None or self._scratch.shape != shape:
+            self._scratch = np.empty(shape)
+        return self._scratch
 
     def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_block"}
+        return {k: v for k, v in self.__dict__.items() if k != "_scratch"}
 
     def _arrays(self):
         return {"ref_X": self.ref_X, "ref_y": self.ref_y.astype(float)}
+
+
+def _nearest_attack_votes(dist, ref_y, k):
+    """How many of each row's k nearest references are attacks; sorts only candidates.
+
+    Reference j belongs to group j mod G, for G = R // KNN_GROUP_ROWS. The k
+    smallest of a row's group minima are k distinct references, so the k-th
+    smallest bounds the row's k-th distance and its candidates are the
+    references at or under it. Where the k-th and (k+1)-th candidates are not
+    equidistant, the k nearest are one set: the set `np.argpartition` picks.
+    A row with a tie there, or with fewer than k candidates (its distances
+    are NaN), is ranked whole by `np.argpartition`, as is every row when
+    G < k.
+    """
+    n, n_ref = dist.shape
+    votes = np.empty(n, dtype=ref_y.dtype)
+    n_groups = n_ref // KNN_GROUP_ROWS
+    by_candidates = np.zeros(n, dtype=bool)
+    if n_groups >= k:
+        size = n_ref // n_groups
+        lows = dist[:, : size * n_groups].reshape(n, size, n_groups).min(axis=1)
+        rest = n_ref - size * n_groups  # fewer than G references left over
+        np.minimum(lows[:, :rest], dist[:, size * n_groups :], out=lows[:, :rest])
+        bound = np.partition(lows, k - 1, axis=1)[:, k - 1]
+        flat = np.flatnonzero(dist <= bound[:, None])
+        rows, cols = np.divmod(flat, n_ref)
+        near = dist.ravel()[flat]
+        order = np.lexsort((near, rows))
+        cols, near = cols[order], near[order]
+        counts = np.bincount(rows, minlength=n)
+        kth = np.cumsum(counts) - counts + (k - 1)  # each row's k-th candidate
+        by_candidates = counts == k
+        more = counts > k
+        by_candidates[more] = near[kth[more] + 1] != near[kth[more]]
+        nearest = cols[kth[by_candidates, None] - np.arange(k)]
+        votes[by_candidates] = ref_y[nearest].sum(axis=1)
+    whole = ~by_candidates
+    if whole.any():
+        nearest = np.argpartition(dist[whole], k - 1, axis=1)[:, :k]
+        votes[whole] = ref_y[nearest].sum(axis=1)
+    return votes
 
 
 _MODEL_CLASSES = {

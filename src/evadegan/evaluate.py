@@ -29,6 +29,19 @@ ATTACK_GROUPS = {
     "probe": (AttackCategory.PROBE,),
 }
 
+
+def cells_without_mask(attacks, settings) -> list[str]:
+    """Each (attack group, constraint setting) pair that has no constraint mask, with why."""
+    missing = []
+    for attack in attacks:
+        for setting in settings:
+            try:
+                mask_for(ATTACK_GROUPS[attack][0], setting)
+            except ValueError as exc:
+                missing.append(f"{attack}/{setting} ({exc})")
+    return missing
+
+
 LOW_CONFIDENCE_DR = 0.02
 # Rows encoded per `encode_batch` call while ingest encodes a file in place.
 _ENCODE_ROWS = 4096

@@ -68,3 +68,14 @@ def test_demo_04_reports_the_evaluate_cell(tiny_corpus, tmp_path, monkeypatch, c
     (row,) = result.report.rows
     assert f"original detection rate on test attacks: {100 * row.original_dr:.2f}%" in out
     assert f"adversarial detection rate: {100 * row.adversarial_dr:.2f}% " in out
+
+
+def test_demo_04_rejects_a_cell_without_a_mask(tmp_path, monkeypatch, capsys):
+    """probe has no ablation mask: demo 04 exits 2, before it reads either (missing) file."""
+    missing = str(tmp_path / "missing.txt")
+    args = ["--train", missing, "--test", missing, "--attack", "probe", "--setting", "ablation"]
+    monkeypatch.setattr(sys, "argv", ["04_evasion_attack.py", *args])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(DEMOS / "04_evasion_attack.py"), run_name="__main__")
+    assert exc.value.code == 2
+    assert "probe/ablation" in capsys.readouterr().err

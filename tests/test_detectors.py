@@ -234,13 +234,14 @@ def knn_labels_512(model, X):
 
 def knn_labels_two_buffers(model, X):
     """k-NN labels by the earlier two-block predict: 2 q.r and the distances in
-    two (KNN_BLOCK_ROWS, R) arrays, each block ranked whole."""
+    two (128, R) arrays, each block's rows ranked whole by argpartition."""
+    block_rows = 128
     k = min(model.hyperparams["k"], len(model.ref_y))
     out = np.empty(X.shape[0], dtype=int)
-    shape = (detectors.KNN_BLOCK_ROWS, len(model.ref_y))
+    shape = (block_rows, len(model.ref_y))
     cross, d2 = np.empty(shape), np.empty(shape)
-    for start in range(0, X.shape[0], detectors.KNN_BLOCK_ROWS):
-        q = X[start : start + detectors.KNN_BLOCK_ROWS]
+    for start in range(0, X.shape[0], block_rows):
+        q = X[start : start + block_rows]
         c, dist = cross[: len(q)], d2[: len(q)]
         np.matmul(q, model.ref_X.T, out=c)
         c *= 2.0
@@ -248,9 +249,7 @@ def knn_labels_two_buffers(model, X):
         dist -= c
         nearest = np.argpartition(dist, k - 1, axis=1)[:, :k]
         attack = model.ref_y[nearest].sum(axis=1)
-        out[start : start + detectors.KNN_BLOCK_ROWS] = np.where(
-            attack * 2 >= k, LABEL_ATTACK, LABEL_NORMAL
-        )
+        out[start : start + block_rows] = np.where(attack * 2 >= k, LABEL_ATTACK, LABEL_NORMAL)
     return out
 
 
@@ -269,9 +268,17 @@ def knn_cases(draw):
     dup = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=10))
     ref = np.vstack([base, base[dup]])
     ref_y = np.concatenate([base_y, 1 - base_y[dup]])
+    # Sets this small have fewer groups than k; a wide set of grid points
+    # has enough for candidate ranking, and ties at the k-th distance too.
+    n_wide = draw(st.sampled_from([0, 0, 100, 300]))
+    wide_rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ref = np.vstack([ref, wide_rng.integers(0, 9, size=(n_wide, d)) / 8])
+    ref_y = np.concatenate([ref_y, wide_rng.integers(0, 2, size=n_wide)])
     extra = draw(arrays(float, (draw(st.integers(0, 10)), d), elements=GRID))
-    # up to several query blocks and a tail; 64 is the d-step's query
-    n_query = draw(st.sampled_from([64, 1, 15, 17, 63, 127, 129, 200]) | st.integers(1, 400))
+    # full slices, lone-row tails and several old 128-row blocks; 64 is the d-step's query
+    n_query = draw(
+        st.sampled_from([64, 1, 15, 16, 17, 33, 63, 127, 129, 200]) | st.integers(1, 400)
+    )
     queries = np.resize(np.vstack([extra, ref]), (n_query, d))
     return ref, ref_y, queries, draw(st.integers(1, 7))
 
@@ -309,11 +316,11 @@ class TestMemoryBounds:
                 peaks[n] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        block_bytes = detectors.KNN_BLOCK_ROWS * n_ref * 8
-        assert peaks[2000] - peaks[200] <= block_bytes
+        slice_bytes = detectors.KNN_SLICE_ROWS * n_ref * 8
+        assert peaks[2000] - peaks[200] <= slice_bytes
 
     def test_knn_predict_scratch_is_one_block(self):
-        """Beyond its one distance block, predict holds only slice-sized scratch."""
+        """Beyond its two slice buffers, in one block, predict holds little scratch."""
         rng = np.random.default_rng(6)
         n_ref = 2000
         model = fit("knn", rng.random((n_ref, 41)), rng.integers(0, 2, n_ref), seed=0)
@@ -324,7 +331,7 @@ class TestMemoryBounds:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * detectors.KNN_BLOCK_ROWS * n_ref * 8
+        assert peak <= 1.5 * 2 * detectors.KNN_SLICE_ROWS * n_ref * 8
 
     def test_knn_pickle_leaves_scratch_behind(self, toy_data):
         X, y = toy_data
@@ -333,6 +340,36 @@ class TestMemoryBounds:
         labels = model.predict(X)
         assert len(pickle.dumps(model)) == size
         assert np.array_equal(pickle.loads(pickle.dumps(model)).predict(X), labels)
+
+    @pytest.mark.parametrize("n_groups", [2, 8], ids=["fewer-groups-than-k", "candidates"])
+    def test_knn_tie_at_kth_neighbour_takes_whole_row_choice(self, n_groups):
+        """The 3rd and 4th nearest references are equidistant with opposite labels.
+
+        Ranked whole, `np.argpartition` picks the later of the two (index 25)
+        here, and the label follows it; the first candidate in index order
+        would be the other (index 21).
+        """
+        n_ref = n_groups * detectors.KNN_GROUP_ROWS
+        ref, ref_y = np.ones((n_ref, 2)), np.arange(n_ref) % 2
+        for i, point, label in [
+            (1, (1 / 8, 0), LABEL_ATTACK),
+            (2, (0, 2 / 8), LABEL_NORMAL),
+            (21, (3 / 8, 0), LABEL_ATTACK),
+            (25, (0, 3 / 8), LABEL_NORMAL),
+        ]:
+            ref[i], ref_y[i] = point, label
+        model = fit("knn", ref, ref_y, seed=0, hyperparams={"k": 3, "max_reference": 0})
+        queries = np.zeros((20, 2))
+        assert np.array_equal(model.predict(queries), knn_labels_two_buffers(model, queries))
+
+    def test_knn_row_with_too_few_candidates_takes_whole_row_choice(self):
+        """A NaN query's distances are all NaN, so none is a candidate: it is ranked whole."""
+        rng = np.random.default_rng(8)
+        n_ref = 8 * detectors.KNN_GROUP_ROWS
+        model = fit("knn", rng.random((n_ref, 3)), rng.integers(0, 2, n_ref), seed=0)
+        queries = rng.random((20, 3))
+        queries[[3, 17]] = np.nan
+        assert np.array_equal(model.predict(queries), knn_labels_two_buffers(model, queries))
 
     @settings(max_examples=60, deadline=None)
     @given(knn_cases())
