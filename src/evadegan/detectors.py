@@ -48,7 +48,7 @@ DEFAULT_HYPERPARAMS = {
 
 MODEL_FORMAT_VERSION = 2
 
-# Query rows whose k-NN distances are computed, finished and ranked together,
+# Query rows whose k-NN distances are computed and ranked together,
 # so the scratch stays small and the passes stay in cache.
 KNN_SLICE_ROWS = 16
 # References per group whose minimum distance bounds a row's k nearest.
@@ -444,43 +444,44 @@ class KNearestNeighbors(ClassifierModel):
 
     def fit(self, X, y, rng):
         cap = self.hyperparams["max_reference"]
+        keep = slice(None)
         if cap and len(X) > cap:
             keep = rng.choice(len(X), size=cap, replace=False)
-            X, y = X[keep], y[keep]
-        self.ref_X = X
-        self.ref_y = y
-        self.ref_sq = (X * X).sum(axis=1)
+        self.ref_y = y[keep]
+        sq = np.square(X[keep]).sum(axis=1)
+        # [-2 X^T; 1; |r|^2]: one product with [q, |q|^2, 1] gives
+        # |q|^2 + |r|^2 - 2 q.r. Filled one feature at a time, so no copy of
+        # the kept rows is alive beside it.
+        self.ref_aug = np.empty((X.shape[1] + 2, len(self.ref_y)))
+        for j, row in enumerate(self.ref_aug[:-2]):
+            np.multiply(X[keep, j], -2.0, out=row)
+        self.ref_aug[-2], self.ref_aug[-1] = 1.0, sq
         return self
 
     def predict(self, X) -> np.ndarray:
-        X = self._check_input(X, self.ref_X.shape[1])
+        X = self._check_input(X, len(self.ref_aug) - 2)
         k = min(self.hyperparams["k"], len(self.ref_y))
         out = np.empty(X.shape[0], dtype=int)
         scratch = self._slice_scratch()
         for start in range(0, X.shape[0], KNN_SLICE_ROWS):
             q = X[start : start + KNN_SLICE_ROWS]
-            cross, dist = scratch[:, : len(q)]
-            # One product per slice gives 2 q.r: doubling is exact, so
-            # doubling q first equals doubling the product.
-            np.matmul(q + q, self.ref_X.T, out=cross)
-            # |q|^2 + |r|^2 - 2 q.r, in that order. The row-constant
-            # |q|^2 stays: dropping it changes the rounding.
-            np.add((q * q).sum(axis=1)[:, None], self.ref_sq, out=dist)
-            np.subtract(dist, cross, out=dist)
+            dist = scratch[: len(q)]
+            q_aug = np.column_stack((q, (q * q).sum(axis=1), np.ones(len(q))))
+            np.matmul(q_aug, self.ref_aug, out=dist)
             attack = _nearest_attack_votes(dist, self.ref_y, k)
             # ties go to attack
             out[start : start + len(q)] = np.where(attack * 2 >= k, LABEL_ATTACK, LABEL_NORMAL)
         return out
 
     def _slice_scratch(self):
-        """Scratch for one slice of queries: 2 q.r and the distances, each (KNN_SLICE_ROWS, R).
+        """One (KNN_SLICE_ROWS, R) buffer: a slice of queries' distances to every reference.
 
-        Peak memory is set by these two buffers, not by the number of
-        queries. They are kept between calls: faulting in fresh pages for
-        them on every call costs more than the distance arithmetic. A
-        pickled copy of the model starts without them.
+        Peak memory is set by this buffer, not by the number of queries. It
+        is kept between calls: faulting in fresh pages for it on every call
+        costs more than the distance arithmetic. A pickled copy of the model
+        starts without it.
         """
-        shape = (2, KNN_SLICE_ROWS, len(self.ref_y))
+        shape = (KNN_SLICE_ROWS, len(self.ref_y))
         if getattr(self, "_scratch", None) is None or self._scratch.shape != shape:
             self._scratch = np.empty(shape)
         return self._scratch
@@ -489,7 +490,8 @@ class KNearestNeighbors(ClassifierModel):
         return {k: v for k, v in self.__dict__.items() if k != "_scratch"}
 
     def _arrays(self):
-        return {"ref_X": self.ref_X, "ref_y": self.ref_y.astype(float)}
+        # scaling by -2 is exact, so this is the fitted reference set bit for bit
+        return {"ref_X": self.ref_aug[:-2].T / -2.0, "ref_y": self.ref_y.astype(float)}
 
 
 def _nearest_attack_votes(dist, ref_y, k):

@@ -157,7 +157,7 @@ def _check_finite(*values) -> None:
             raise TrainingDiverged("non-finite value during training")
 
 
-def generator_step(gen, critic, optimizer, batch, mask, schema, noise) -> float:
+def generator_step(gen, critic, optimizer, batch, mask, noise) -> float:
     """One generator update toward lower critic scores.
 
     Returns the loss: the critic's mean score over the masked continuous batch.
@@ -255,9 +255,7 @@ def train(
 
             for _ in range(config.g_steps):
                 noise = noise_rng.random((n_batch, noise_dim))
-                g_losses.append(
-                    generator_step(gen, critic, opt_g, batch, mask, schema, noise)
-                )
+                g_losses.append(generator_step(gen, critic, opt_g, batch, mask, noise))
 
             for _ in range(config.d_steps):
                 norm_idx = normal_rng.integers(0, len(normals), size=n_batch)

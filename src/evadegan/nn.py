@@ -185,10 +185,6 @@ def clip_network(net: Network, c: float) -> None:
     np.clip(net.params, -c, c, out=net.params)
 
 
-def max_abs_param(net: Network) -> float:
-    return float(np.abs(net.params).max())
-
-
 def save_network(net: Network, path, meta: dict | None = None) -> None:
     """Write a network's parameters to a versioned blob with its layer dims."""
     header = {"dims": list(net.dims)}

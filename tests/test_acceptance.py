@@ -230,7 +230,7 @@ def test_c6_numerical_suite(schema):
     pred_normal = rng.random(32) < 0.5
     for _ in range(25):
         gan.critic_step(critic, opt, batch, pred_normal, 0.01)
-        if nn.max_abs_param(critic) > 0.01 + 1e-15:
+        if np.abs(critic.params).max() > 0.01 + 1e-15:
             problems.append("critic parameter escaped clip box")
 
     # RMSProp recurrence against a scripted oracle
@@ -256,7 +256,7 @@ def test_c6_numerical_suite(schema):
     noise = rng.random((len(attack), config.noise_dim))
     _, adversarial, _ = gan._adversarial_forward(generator, attack, mask, schema, noise)
     adversarial_mean = critic.forward(adversarial, cache=False)[:, 0].mean()
-    loss_g = gan.generator_step(generator, critic, nn.RmsProp(), attack, mask, schema, noise)
+    loss_g = gan.generator_step(generator, critic, nn.RmsProp(), attack, mask, noise)
     if abs(loss_g - adversarial_mean) > 1e-12:
         problems.append("generator loss oracle mismatch")
     sn = critic.forward(normal, cache=False)[:, 0]

@@ -261,7 +261,7 @@ def test_clip_network_bounds_everything():
     for layer in net.layers:
         layer.weights[:] *= 100
     clip_network(net, 0.01)
-    assert nn.max_abs_param(net) <= 0.01
+    assert np.abs(net.params).max() <= 0.01
 
 
 class TestFlatBuffer:
