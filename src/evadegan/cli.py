@@ -45,9 +45,7 @@ DATA_ERRORS = (
     gan.TooFewAttacks,
 )
 
-_GAN_FIELDS = {
-    f.name for f in dataclasses.fields(gan.TrainConfig) if f.name != "seed"
-}
+_GAN_FIELDS = {f.name for f in dataclasses.fields(gan.TrainConfig)}
 
 
 class ConfigError(ValueError):
@@ -130,7 +128,7 @@ RUN_KEYS = {
     "data.train": ("train_path", _parse_path, "--train", "KDDTrain+ style data file"),
     "data.test": ("test_path", _parse_path, "--test", "KDDTest+ style data file"),
     "out": ("out_dir", lambda key, raw: raw, "--out", "output directory"),
-    "seed": ("master_seed", _parse_int, "--seed", "master seed"),
+    "seed": ("master_seed", partial(_parse_int, least=0), "--seed", "master seed"),
     "ids.algorithms": ("algorithms", _ALGORITHMS, "--ids", "comma list of detector algorithms"),
     "attacks": ("attacks", _ATTACKS, "--attack", "comma list of attack groups"),
     "settings": ("settings", _SETTINGS, "--setting", "comma list of constraint settings"),
@@ -141,7 +139,8 @@ RUN_KEYS = {
 def _check_hyperparam(key: str, value, default) -> None:
     """An ids.* value must have the type of its default in detectors.DEFAULT_HYPERPARAMS."""
     if isinstance(default, tuple):
-        ok, expected = all(isinstance(v, int) and v >= 1 for v in value), "integers >= 1"
+        ok = bool(value) and all(isinstance(v, int) and v >= 1 for v in value)
+        expected = "one or more integers >= 1"
     elif isinstance(default, int):
         least = 0 if key == "ids.knn.max_reference" else 1  # 0 means no cap
         ok, expected = isinstance(value, int) and value >= least, f"an integer >= {least}"

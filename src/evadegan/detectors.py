@@ -209,7 +209,7 @@ class MlpClassifier(ClassifierModel):
                 grad[np.arange(len(idx)), y[idx]] -= 1.0
                 grad /= len(idx)
                 self.net.backward(grad, input_grad=False)
-                opt.step(self.net.parameters())
+                opt.step(self.net.params, self.net.grads)
         return self
 
     def predict(self, X) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -339,18 +339,17 @@ def run_cell(
         mask = mask_for(ATTACK_GROUPS[attack][0], setting)
         seed = cell_seed(config.master_seed, algorithm, attack, setting)
         gan_seed = nn.derive_seed(seed, "gan")
-        gan_config = replace(config.gan, seed=gan_seed)
         generator = gan.build_generator(
-            gan_config, nn.make_rng(nn.derive_seed(gan_seed, "gen-init"))
+            config.gan, nn.make_rng(nn.derive_seed(gan_seed, "gen-init"))
         )
-        critic = gan.build_critic(gan_config, nn.make_rng(nn.derive_seed(gan_seed, "critic-init")))
+        critic = gan.build_critic(config.gan, nn.make_rng(nn.derive_seed(gan_seed, "critic-init")))
         data = gan.TrainData(
             normals=inputs.gan_normals,
             normal_labels=detector.normal_labels,
             attacks=inputs.gan_attacks[attack],
         )
         history = gan.train(
-            generator, critic, detector.model, data, mask, inputs.schema, gan_config
+            generator, critic, detector.model, data, mask, inputs.schema, config.gan, gan_seed
         )
 
         row = None

@@ -29,10 +29,6 @@ class TrainingDiverged(RuntimeError):
     """Raised when losses or parameters stop being finite."""
 
 
-class EmptyPartition(ValueError):
-    """Raised when a critic batch has no predicted-normal or no predicted-attack rows."""
-
-
 class TooFewAttacks(ValueError):
     """Raised when an attack group cannot spare a probe slice and still train."""
 
@@ -47,7 +43,6 @@ class TrainConfig:
     noise_dim: int = 9
     g_steps: int = 1
     d_steps: int = 1
-    seed: int = 0
     gen_hidden: tuple = (64, 96, 96, 64)
     critic_hidden: tuple = (64, 32)
     rmsprop_rho: float = 0.99
@@ -63,8 +58,9 @@ class TrainConfig:
             if not isinstance(value, (int, float)) or not np.isfinite(value):
                 raise ValueError(f"{name} must be a finite number")
         for name in ("gen_hidden", "critic_hidden"):
-            if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in getattr(self, name)):
-                raise ValueError(f"{name} must be integers >= 1")
+            sizes = getattr(self, name)
+            if not sizes or not all(isinstance(v, (int, np.integer)) and v >= 1 for v in sizes):
+                raise ValueError(f"{name} must be one or more integers >= 1")
         for name in ("batch_size", "lr_g", "lr_d", "clip_c", "noise_dim", "rmsprop_epsilon"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -126,12 +122,6 @@ def _masked_forward(gen, originals, mask, noise, cache=False):
     return raw, apply_mask_batch(originals, clamped, mask)
 
 
-def _adversarial_forward(gen, originals, mask, schema, noise, cache=False):
-    """Returns (raw network output, continuous masked batch, discrete batch)."""
-    raw, continuous = _masked_forward(gen, originals, mask, noise, cache)
-    return raw, continuous, postprocess(continuous, schema)
-
-
 def generate(
     gen: nn.Network,
     originals: np.ndarray,
@@ -142,13 +132,15 @@ def generate(
     """Produce (continuous_batch, discrete_batch) adversarial versions.
 
     The continuous batch is the critic's view; the discrete batch is what
-    detectors and evaluations consume. Frozen positions match the originals
-    bit for bit in both.
+    detectors and evaluations consume, and every batch a detector is shown
+    comes from here. Frozen positions match the originals bit for bit in
+    both. `schema` is not read; it stays because perfbench's constraint
+    check takes the schema from this function's fourth argument.
     """
     originals = np.asarray(originals, dtype=float)
     noise = noise_rng.random((originals.shape[0], gen.dims[0] - N_FEATURES))
-    _, continuous, discrete = _adversarial_forward(gen, originals, mask, schema, noise)
-    return continuous, discrete
+    _, continuous = _masked_forward(gen, originals, mask, noise)
+    return continuous, postprocess(continuous)
 
 
 def _check_finite(*values) -> None:
@@ -171,25 +163,26 @@ def generator_step(gen, critic, optimizer, batch, mask, noise) -> float:
     # No gradient through frozen positions or saturated clamps.
     gate = mask.modifiable[None, :] & (raw > 0.0) & (raw < 1.0)
     gen.backward(grad_in * gate, input_grad=False)
-    optimizer.step(gen.parameters())
+    optimizer.step(gen.params, gen.grads)
     return loss
 
 
-def critic_step(critic, optimizer, batch, pred_normal, clip_c) -> float:
+def critic_step(critic, optimizer, batch, pred_normal, clip_c) -> float | None:
     """One critic update on a batch partitioned by detector predictions.
 
     Returns the loss: the mean score of the predicted-normal rows minus that
-    of the predicted-attack rows, both taken before the update.
+    of the predicted-attack rows, both taken before the update. A batch
+    without one of the two predicted classes makes no update and returns None.
     """
     n_pn = int(pred_normal.sum())
     n_pa = len(pred_normal) - n_pn
     if n_pn == 0 or n_pa == 0:
-        raise EmptyPartition("critic batch is missing one predicted class")
+        return None
     scores = critic.forward(batch, cache=True)
     loss = float(scores[pred_normal, 0].mean() - scores[~pred_normal, 0].mean())
     upstream = np.where(pred_normal[:, None], 1.0 / n_pn, -1.0 / n_pa)
     critic.backward(upstream, input_grad=False)
-    optimizer.step(critic.parameters())
+    optimizer.step(critic.params, critic.grads)
     nn.clip_network(critic, clip_c)
     return loss
 
@@ -202,6 +195,7 @@ def train(
     mask: FeatureMask,
     schema: FeatureSchema,
     config: TrainConfig,
+    seed: int,
 ) -> list:
     """Alternating generator/critic training against one black-box detector.
 
@@ -212,7 +206,8 @@ def train(
     ``data.normal_labels``, the adversarial rows by a query. Critic
     parameters are clipped to ``[-clip_c, clip_c]`` after every critic step.
     The critic trains only on batches that hold both predicted classes; a
-    batch the detector gives one label skips its update.
+    batch the detector gives one label skips its update. ``seed`` derives
+    the shuffle, noise, normal-sampling and probe streams.
 
     Returns one EpochStats per epoch (generator loss, critic loss, critic
     updates, and the detection rate on a held-out probe slice of the
@@ -221,10 +216,10 @@ def train(
     config.validate()
     noise_dim = gen.dims[0] - N_FEATURES
 
-    shuffle_rng = nn.make_rng(nn.derive_seed(config.seed, "shuffle"))
-    noise_rng = nn.make_rng(nn.derive_seed(config.seed, "noise"))
-    normal_rng = nn.make_rng(nn.derive_seed(config.seed, "normals"))
-    probe_rng = nn.make_rng(nn.derive_seed(config.seed, "probe"))
+    shuffle_rng = nn.make_rng(nn.derive_seed(seed, "shuffle"))
+    noise_rng = nn.make_rng(nn.derive_seed(seed, "noise"))
+    normal_rng = nn.make_rng(nn.derive_seed(seed, "normals"))
+    probe_rng = nn.make_rng(nn.derive_seed(seed, "probe"))
 
     opt_g = nn.RmsProp(config.lr_g, config.rmsprop_rho, config.rmsprop_epsilon)
     opt_d = nn.RmsProp(config.lr_d, config.rmsprop_rho, config.rmsprop_epsilon)
@@ -259,25 +254,22 @@ def train(
 
             for _ in range(config.d_steps):
                 norm_idx = normal_rng.integers(0, len(normals), size=n_batch)
-                noise = noise_rng.random((n_batch, noise_dim))
-                _, adv_cont, adv_disc = _adversarial_forward(
-                    gen, batch, mask, schema, noise
-                )
+                adv_cont, adv_disc = generate(gen, batch, mask, schema, noise_rng)
                 # Only the adversarial rows are new to the detector, which
                 # sees them in their discrete form.
                 labels = np.concatenate([normal_labels[norm_idx], ids_model.predict(adv_disc)])
                 critic_view = np.vstack([normals[norm_idx], adv_cont])
                 pred_normal = labels == detectors.LABEL_NORMAL
-                try:
-                    d_losses.append(
-                        critic_step(critic, opt_d, critic_view, pred_normal, config.clip_c)
-                    )
-                except EmptyPartition:
+                loss = critic_step(critic, opt_d, critic_view, pred_normal, config.clip_c)
+                if loss is None:
                     skipped += 1
+                else:
+                    d_losses.append(loss)
 
         loss_g = float(np.mean(g_losses)) if g_losses else float("nan")
         loss_d = float(np.mean(d_losses)) if d_losses else float("nan")
-        probe_dr = _probe_detection_rate(gen, ids_model, probe, mask, schema, probe_rng)
+        _, probe_disc = generate(gen, probe, mask, schema, probe_rng)
+        probe_dr = float((ids_model.predict(probe_disc) == detectors.LABEL_ATTACK).mean())
         _check_finite([loss_g, 0.0 if np.isnan(loss_d) else loss_d], gen.params, critic.params)
         history.append(
             EpochStats(
@@ -290,12 +282,6 @@ def train(
             )
         )
     return history
-
-
-def _probe_detection_rate(gen, ids_model, probe, mask, schema, probe_rng) -> float:
-    _, disc = generate(gen, probe, mask, schema, probe_rng)
-    labels = ids_model.predict(disc)
-    return float((labels == detectors.LABEL_ATTACK).mean())
 
 
 def write_trace_csv(path, history) -> None:

@@ -22,7 +22,6 @@ from .nslkdd import (
     INTRINSIC,
     TIME_BASED,
     AttackCategory,
-    FeatureSchema,
 )
 
 FUNCTIONAL_ONLY = "functional_only"
@@ -133,11 +132,8 @@ def apply_mask_batch(
 _BINARY_COLUMNS = list(BINARY_INDICES)
 
 
-def postprocess(vector: np.ndarray, schema: FeatureSchema) -> np.ndarray:
-    """Clamp to [0,1], then snap binary features to {0,1} (ties go to 1).
-
-    `schema` is not read: the binary columns come from FEATURE_TABLE.
-    """
+def postprocess(vector: np.ndarray) -> np.ndarray:
+    """Clamp to [0,1], then snap binary features to {0,1} (ties go to 1)."""
     vector = np.asarray(vector, dtype=float)
     out = np.clip(vector, 0.0, 1.0)
     out[..., _BINARY_COLUMNS] = np.where(out[..., _BINARY_COLUMNS] >= 0.5, 1.0, 0.0)

@@ -133,10 +133,6 @@ class Network:
             grad = grad @ layer.weights if input_grad or k > 0 else None
         return grad
 
-    def parameters(self):
-        """The one (params, grads) pair, as the list RmsProp.step takes."""
-        return [(self.params, self.grads)]
-
     def param_arrays(self) -> dict:
         arrays = {}
         for k, layer in enumerate(self.layers):
@@ -148,34 +144,33 @@ class Network:
 class RmsProp:
     """RMSProp: cache <- rho*cache + (1-rho)*g^2; p <- p - lr*g/(sqrt(cache)+eps).
 
-    Each step works in place on per-parameter state allocated on first use:
-    the cache and two scratch arrays, so a step makes no temporaries.
+    One optimiser steps one array, such as a `Network`'s flat ``params``.
+    Each step works in place on state made on the first step: the cache
+    and two scratch arrays, so a step makes no temporaries.
     """
 
     def __init__(self, learning_rate: float = 1e-4, rho: float = 0.99, epsilon: float = 1e-8):
         self.learning_rate = learning_rate
         self.rho = rho
         self.epsilon = epsilon
-        self._state = {}
+        self._state = None
 
-    def step(self, params_and_grads) -> None:
-        for param, grad in params_and_grads:
-            if param.shape != grad.shape:
-                raise ShapeMismatch(f"param {param.shape} vs grad {grad.shape}")
-            state = self._state.get(id(param))
-            if state is None:
-                state = self._state[id(param)] = tuple(np.zeros_like(param) for _ in range(3))
-            cache, a, b = state
-            # The same operations, in the same order, as the formula above.
-            np.multiply(grad, 1.0 - self.rho, out=a)
-            a *= grad
-            cache *= self.rho
-            cache += a
-            np.sqrt(cache, out=a)
-            a += self.epsilon
-            np.multiply(grad, self.learning_rate, out=b)
-            b /= a
-            param -= b
+    def step(self, param: np.ndarray, grad: np.ndarray) -> None:
+        if param.shape != grad.shape:
+            raise ShapeMismatch(f"param {param.shape} vs grad {grad.shape}")
+        if self._state is None:
+            self._state = tuple(np.zeros_like(param) for _ in range(3))
+        cache, a, b = self._state
+        # The same operations, in the same order, as the formula above.
+        np.multiply(grad, 1.0 - self.rho, out=a)
+        a *= grad
+        cache *= self.rho
+        cache += a
+        np.sqrt(cache, out=a)
+        a += self.epsilon
+        np.multiply(grad, self.learning_rate, out=b)
+        b /= a
+        param -= b
 
 
 def clip_network(net: Network, c: float) -> None:

@@ -1,5 +1,6 @@
 """Command-line workflows: staging, artifacts, exit codes, reproducibility."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -97,6 +98,7 @@ class TestConfigParsing:
         "flags",
         [
             ("--set", "seed=x1"),
+            ("--seed", "-1"),
             ("--set", "jobs=abc"),
             ("--jobs", "0"),
             ("--jobs", "-2"),
@@ -114,6 +116,7 @@ class TestConfigParsing:
             ("--set", "ids.svm.epochs=2.5"),
             ("--set", "ids.svm.lam=abc"),
             ("--set", "ids.mlp.hidden=0"),
+            ("--set", "ids.mlp.hidden=,"),
             ("--set", "ids.dt.max_depth=-1"),
             ("--set", "ids.rf.features_per_split=0"),
             ("--set", "gan.probe_size=0"),
@@ -122,6 +125,7 @@ class TestConfigParsing:
             ("--set", "gan.rmsprop_epsilon=0"),
             ("--set", "gan.gen_hidden=0"),
             ("--set", "gan.critic_hidden=16,0"),
+            ("--set", "gan.critic_hidden=,"),
             ("--set", "ids.algorithms="),
             ("--set", "attacks="),
             ("--set", "settings= , "),
@@ -180,6 +184,12 @@ class TestConfigParsing:
             make_parser().parse_args([command, "--config", str(out / "effective.cfg")])
         )
         assert again == config
+
+    def test_effective_config_lists_every_gan_field(self):
+        """Every TrainConfig field is a gan.* key, so effective.cfg sets all of them."""
+        config = build_run_config(make_parser().parse_args(["evaluate", "--train", "t.txt"]))
+        keys = {line.split(" = ")[0] for line in effective_config_text(config).splitlines()}
+        assert {f"gan.{f.name}" for f in dataclasses.fields(gan.TrainConfig)} <= keys
 
     @pytest.mark.parametrize(
         "case",

@@ -7,7 +7,6 @@ import pytest
 
 from evadegan import detectors, gan, nn
 from evadegan.gan import (
-    EmptyPartition,
     TrainConfig,
     TrainData,
     TrainingDiverged,
@@ -20,6 +19,9 @@ from evadegan.gan import (
 )
 from evadegan.masks import functional_mask
 from evadegan.nslkdd import AttackCategory
+
+
+SEED = 77  # gan.train's seed in every test here
 
 
 def constant_critic(value: float) -> nn.Network:
@@ -73,13 +75,13 @@ def critic_loss(critic, normal, attack) -> float:
     return critic_step(critic, nn.RmsProp(), np.vstack([normal, attack]), pred_normal, 0.01)
 
 
-def generator_loss(critic, batch, schema, seed) -> tuple:
+def generator_loss(critic, batch, seed) -> tuple:
     """(loss generator_step returns, the masked continuous batch the critic scored)."""
     config = TrainConfig()
     gen = build_generator(config, nn.make_rng(seed))
     mask = functional_mask(AttackCategory.DOS)
     noise = nn.make_rng(seed + 1).random((len(batch), config.noise_dim))
-    _, continuous, _ = gan._adversarial_forward(gen, batch, mask, schema, noise)
+    _, continuous = gan._masked_forward(gen, batch, mask, noise)
     loss = generator_step(gen, critic, nn.RmsProp(), batch, mask, noise)
     return loss, continuous
 
@@ -109,28 +111,23 @@ class TestCriticLoss:
         got = critic_loss(critic, normal, attack)
         assert abs(got - oracle) <= 1e-12
 
-    def test_empty_partition(self):
-        critic = constant_critic(0.0)
-        with pytest.raises(EmptyPartition):
-            critic_step(critic, nn.RmsProp(), np.zeros((3, 41)), np.zeros(3, dtype=bool), 0.01)
-
 
 class TestGeneratorLoss:
-    def test_constant_critic(self, schema):
+    def test_constant_critic(self):
         critic = constant_critic(-0.3)
         batch = nn.make_rng(5).random((6, 41))
-        loss, _ = generator_loss(critic, batch, schema, seed=15)
+        loss, _ = generator_loss(critic, batch, seed=15)
         assert loss == pytest.approx(-0.3, abs=1e-12)
 
-    def test_matches_mean_oracle(self, schema):
+    def test_matches_mean_oracle(self):
         critic = nn.Network((41, 8, 1), nn.make_rng(6))
         batch = nn.make_rng(7).random((11, 41))
-        loss, continuous = generator_loss(critic, batch, schema, seed=16)
+        loss, continuous = generator_loss(critic, batch, seed=16)
         scores = critic.forward(continuous, cache=False)[:, 0]
         assert abs(loss - sum(scores) / len(scores)) <= 1e-12
 
     def test_constant_critic_gives_zero_generator_gradient(self):
-        config = TrainConfig(seed=0)
+        config = TrainConfig()
         gen = build_generator(config, nn.make_rng(8))
         critic = constant_critic(1.0)
         opt = nn.RmsProp(config.lr_g)
@@ -143,17 +140,15 @@ class TestGeneratorLoss:
         for key in before:
             assert np.array_equal(before[key], after[key])
 
-    def test_zero_gradient_at_frozen_positions(self, schema):
-        config = TrainConfig(seed=0)
+    def test_zero_gradient_at_frozen_positions(self):
+        config = TrainConfig()
         gen = build_generator(config, nn.make_rng(11))
         critic = build_critic(config, nn.make_rng(12))
         mask = functional_mask(AttackCategory.DOS)
         batch = nn.make_rng(13).random((8, 41))
         noise = nn.make_rng(14).random((8, config.noise_dim))
 
-        raw, continuous, _ = gan._adversarial_forward(
-            gen, batch, mask, schema, noise, cache=True
-        )
+        raw, continuous = gan._masked_forward(gen, batch, mask, noise, cache=True)
         critic.forward(continuous, cache=True)
         grad_in = critic.backward(np.full((8, 1), 1.0 / 8))
         gate = mask.modifiable[None, :] & (raw > 0.0) & (raw < 1.0)
@@ -222,15 +217,25 @@ class TestCriticStep:
             critic_step(critic, opt, batch, pred_normal, 0.01)
             assert np.abs(critic.params).max() <= 0.01 + 1e-15
 
-    def test_empty_partition_raises(self):
+    @pytest.mark.parametrize("label", [False, True], ids=["all-attack", "all-normal"])
+    def test_one_predicted_class_skips_the_update(self, label):
+        """critic_step returns None and leaves the critic and its optimiser as they were."""
+        rng = nn.make_rng(35)
         critic = build_critic(TrainConfig(), nn.make_rng(34))
-        with pytest.raises(EmptyPartition):
-            critic_step(critic, nn.RmsProp(), np.zeros((4, 41)), np.ones(4, dtype=bool), 0.01)
+        opt = nn.RmsProp()
+        critic_step(critic, opt, rng.random((4, 41)), np.array([True, False] * 2), 0.01)
+        params = critic.params.copy()
+        state = [a.copy() for a in opt._state]
+        batch, pred_normal = rng.random((4, 41)), np.full(4, label)
+        assert critic_step(critic, opt, batch, pred_normal, 0.01) is None
+        assert np.array_equal(critic.params, params)
+        for now, before in zip(opt._state, state):
+            assert np.array_equal(now, before)
 
 
 class TestTrain:
     def small_config(self, **kw):
-        defaults = dict(epochs=4, seed=77, probe_size=64)
+        defaults = dict(epochs=4, probe_size=64)
         defaults.update(kw)
         return TrainConfig(**defaults)
 
@@ -241,7 +246,7 @@ class TestTrain:
         critic = build_critic(config, nn.make_rng(41))
         g_before = {k: v.copy() for k, v in gen.param_arrays().items()}
         c_before = {k: v.copy() for k, v in critic.param_arrays().items()}
-        history = train(gen, critic, ids_model, dos_data, mask, schema, config)
+        history = train(gen, critic, ids_model, dos_data, mask, schema, config, SEED)
         assert history == []
         assert all(np.array_equal(g_before[k], gen.param_arrays()[k]) for k in g_before)
         assert all(np.array_equal(c_before[k], critic.param_arrays()[k]) for k in c_before)
@@ -253,7 +258,7 @@ class TestTrain:
             config = self.small_config()
             gen = build_generator(config, nn.make_rng(42))
             critic = build_critic(config, nn.make_rng(43))
-            history = train(gen, critic, ids_model, dos_data, mask, schema, config)
+            history = train(gen, critic, ids_model, dos_data, mask, schema, config, SEED)
             return history, gen.param_arrays()
 
         h1, p1 = run()
@@ -266,7 +271,7 @@ class TestTrain:
         config = self.small_config()
         gen = build_generator(config, nn.make_rng(44))
         critic = build_critic(config, nn.make_rng(45))
-        train(gen, critic, ids_model, dos_data, mask, schema, config)
+        train(gen, critic, ids_model, dos_data, mask, schema, config, SEED)
         assert np.abs(critic.params).max() <= config.clip_c + 1e-15
 
     def test_adversarial_outputs_respect_mask_after_training(self, dos_setup, dos_data, schema):
@@ -274,7 +279,7 @@ class TestTrain:
         config = self.small_config()
         gen = build_generator(config, nn.make_rng(46))
         critic = build_critic(config, nn.make_rng(47))
-        train(gen, critic, ids_model, dos_data, mask, schema, config)
+        train(gen, critic, ids_model, dos_data, mask, schema, config, SEED)
         sample = attacks[:100]
         cont, disc = generate(gen, sample, mask, schema, nn.make_rng(48))
         frozen = ~mask.modifiable
@@ -287,7 +292,7 @@ class TestTrain:
         config = self.small_config(epochs=40)
         gen = build_generator(config, nn.make_rng(49))
         critic = build_critic(config, nn.make_rng(50))
-        train(gen, critic, ids_model, dos_data, mask, schema, config)
+        train(gen, critic, ids_model, dos_data, mask, schema, config, SEED)
         _, disc = generate(gen, attacks, mask, schema, nn.make_rng(51))
         adv_dr = float((ids_model.predict(disc) == detectors.LABEL_ATTACK).mean())
         assert orig_dr > 0.9  # sanity: the detector does catch raw attacks
@@ -299,24 +304,24 @@ class TestTrain:
         gen = build_generator(config, nn.make_rng(52))
         critic = build_critic(config, nn.make_rng(53))
         with pytest.raises(TrainingDiverged), np.errstate(all="ignore"):
-            train(gen, critic, ids_model, dos_data, mask, schema, config)
+            train(gen, critic, ids_model, dos_data, mask, schema, config, SEED)
 
     def test_d_steps_query_only_the_adversarial_rows(self, dos_setup, dos_data, schema, monkeypatch):
         normals, attacks, mask, ids_model = dos_setup
         discrete = []  # every discrete adversarial batch gan.train makes, in order
-        real_forward = gan._adversarial_forward
+        real_generate = gan.generate
 
-        def recording_forward(*args, **kwargs):
-            out = real_forward(*args, **kwargs)
-            discrete.append(out[2].copy())
+        def recording_generate(*args, **kwargs):
+            out = real_generate(*args, **kwargs)
+            discrete.append(out[1].copy())
             return out
 
-        monkeypatch.setattr(gan, "_adversarial_forward", recording_forward)
+        monkeypatch.setattr(gan, "generate", recording_generate)
         detector = RecordingDetector(ids_model)
         config = self.small_config(epochs=2)
         gen = build_generator(config, nn.make_rng(56))
         critic = build_critic(config, nn.make_rng(57))
-        train(gen, critic, detector, dos_data, mask, schema, config)
+        train(gen, critic, detector, dos_data, mask, schema, config, SEED)
 
         # each epoch: one query per d-step (one per batch), then the probe's
         probe_n = min(config.probe_size, len(attacks) // 5)
@@ -334,7 +339,7 @@ class TestTrain:
         gen = build_generator(config, nn.make_rng(58))
         critic = build_critic(config, nn.make_rng(59))
         with pytest.raises(ValueError, match="one label per normal"):
-            train(gen, critic, ids_model, data, mask, schema, config)
+            train(gen, critic, ids_model, data, mask, schema, config, SEED)
 
     def test_needs_five_attack_records(self, dos_setup, dos_data, schema):
         normals, attacks, mask, ids_model = dos_setup
@@ -344,9 +349,9 @@ class TestTrain:
             gen = build_generator(config, nn.make_rng(60))
             critic = build_critic(config, nn.make_rng(61))
             with pytest.raises(gan.TooFewAttacks, match=f"^{n} attack records"):
-                train(gen, critic, ids_model, data, mask, schema, config)
+                train(gen, critic, ids_model, data, mask, schema, config, SEED)
         data = TrainData(dos_data.normals, dos_data.normal_labels, attacks[:5])
-        (stats,) = train(gen, critic, ids_model, data, mask, schema, config)
+        (stats,) = train(gen, critic, ids_model, data, mask, schema, config, SEED)
         assert np.isfinite(stats.probe_adv_dr)
 
     def test_trace_csv_round_trip(self, dos_setup, dos_data, schema, tmp_path):
@@ -354,7 +359,7 @@ class TestTrain:
         config = self.small_config(epochs=2)
         gen = build_generator(config, nn.make_rng(54))
         critic = build_critic(config, nn.make_rng(55))
-        history = train(gen, critic, ids_model, dos_data, mask, schema, config)
+        history = train(gen, critic, ids_model, dos_data, mask, schema, config, SEED)
         gan.write_trace_csv(tmp_path / "trace.csv", history)
         lines = (tmp_path / "trace.csv").read_text().strip().splitlines()
         assert lines[0] == "epoch,loss_g,loss_d,probe_adv_dr,critic_updates"
@@ -376,7 +381,7 @@ class TestTrain:
         data = TrainData(normals, np.full(len(normals), detectors.LABEL_NORMAL), attacks[:20])
         gen = build_generator(config, nn.make_rng(62))
         critic = build_critic(config, nn.make_rng(63))
-        history = train(gen, critic, CoinDetector(), data, mask, schema, config)
+        history = train(gen, critic, CoinDetector(), data, mask, schema, config, SEED)
         assert [h.critic_updates + h.skipped_critic_updates for h in history] == [2] * 100
         assert {h.critic_updates for h in history} == {0, 1, 2}
 

@@ -144,33 +144,33 @@ class TestApplyMask:
 
 
 class TestPostprocess:
-    def test_clamps_out_of_range(self, schema):
+    def test_clamps_out_of_range(self):
         i = nslkdd.FEATURE_INDEX["duration"]
         vec = np.full(41, 0.5)
         vec[i] = 1.3
-        out = postprocess(vec, schema)
+        out = postprocess(vec)
         assert out[i] == 1.0
         vec[i] = -0.2
-        assert postprocess(vec, schema)[i] == 0.0
+        assert postprocess(vec)[i] == 0.0
 
-    def test_binary_threshold(self, schema):
+    def test_binary_threshold(self):
         i = nslkdd.FEATURE_INDEX["logged_in"]
         vec = np.full(41, 0.5)
         vec[i] = 0.5
-        assert postprocess(vec, schema)[i] == 1.0  # tie goes to 1
+        assert postprocess(vec)[i] == 1.0  # tie goes to 1
         vec[i] = 0.4999
-        assert postprocess(vec, schema)[i] == 0.0
+        assert postprocess(vec)[i] == 0.0
 
-    def test_continuous_untouched(self, schema):
+    def test_continuous_untouched(self):
         i = nslkdd.FEATURE_INDEX["serror_rate"]
         vec = np.full(41, 0.0)
         vec[i] = 0.73
-        assert postprocess(vec, schema)[i] == 0.73
+        assert postprocess(vec)[i] == 0.73
 
     def test_all_binary_exactly_zero_or_one(self, schema):
         rng = np.random.default_rng(3)
         batch = rng.uniform(-0.5, 1.5, size=(64, 41))
-        out = postprocess(batch, schema)
+        out = postprocess(batch)
         assert out.min() >= 0.0 and out.max() <= 1.0
         for i in schema.binary_indices:
             assert np.isin(out[:, i], (0.0, 1.0)).all()
@@ -209,7 +209,7 @@ class TestProperties:
         )
         mask = mask_for(*cell)
 
-        out = postprocess(apply_mask_batch(originals, generated, mask), schema)
+        out = postprocess(apply_mask_batch(originals, generated, mask))
 
         frozen = ~mask.modifiable
         assert np.array_equal(out[:, frozen].view(np.uint64), originals[:, frozen].view(np.uint64))

@@ -146,20 +146,20 @@ class TestRmsProp:
     def test_zero_gradient_no_change(self):
         p = np.array([1.0, -2.0])
         opt = RmsProp()
-        opt.step([(p, np.zeros(2))])
+        opt.step(p, np.zeros(2))
         assert np.array_equal(p, [1.0, -2.0])
 
     def test_first_step_hand_value(self):
         # rho 0.99, g 1, lr 1e-4: cache 0.01, delta -1e-4/(0.1 + 1e-8)
         p = np.array([0.0])
-        RmsProp(learning_rate=1e-4, rho=0.99, epsilon=1e-8).step([(p, np.array([1.0]))])
+        RmsProp(learning_rate=1e-4, rho=0.99, epsilon=1e-8).step(p, np.array([1.0]))
         assert p[0] == pytest.approx(-0.00099999990000001, abs=1e-18)
 
     def test_two_steps_match_scripted_recurrence(self):
         p = np.array([0.0])
         opt = RmsProp(learning_rate=1e-4, rho=0.99, epsilon=1e-8)
-        opt.step([(p, np.array([1.0]))])
-        opt.step([(p, np.array([0.5]))])
+        opt.step(p, np.array([1.0]))
+        opt.step(p, np.array([0.5]))
 
         # independent scripted recurrence
         cache = 0.0
@@ -177,14 +177,14 @@ class TestRmsProp:
         cache = np.zeros_like(q)
         for _ in range(20):
             g = rng.normal(size=(3, 4))
-            opt.step([(p, g)])
+            opt.step(p, g)
             cache = 0.9 * cache + 0.1 * g * g
             q = q - 1e-3 * g / (np.sqrt(cache) + 1e-8)
             assert np.allclose(p, q, atol=1e-12, rtol=0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            RmsProp().step([(np.zeros(3), np.zeros(4))])
+            RmsProp().step(np.zeros(3), np.zeros(4))
 
 
 def one_layer(in_dim, out_dim, seed):
@@ -270,8 +270,7 @@ class TestFlatBuffer:
     @pytest.mark.parametrize("dims", PIPELINE_DIMS)
     def test_views_into_one_buffer(self, dims):
         net = Network(dims, make_rng(8))
-        ((params, grads),) = net.parameters()
-        assert params is net.params and grads is net.grads
+        params, grads = net.params, net.grads
         assert params.size == sum(l.weights.size + l.bias.size for l in net.layers)
         for layer in net.layers:
             for array, flat in (
@@ -304,7 +303,7 @@ class TestFlatBuffer:
 
     def test_layer_writes_show_in_parameters(self):
         net = Network((5, 4, 3), make_rng(1))
-        ((params, _),) = net.parameters()
+        params = net.params
         net.layers[1].weights[2, 1] = 7.5
         net.layers[0].bias[3] = -2.0
         assert params[5 * 4 + 4 + 2 * 4 + 1] == 7.5
@@ -326,7 +325,7 @@ def test_rmsprop_bit_equal_to_unfused_formula():
     for _ in range(20):
         g = rng.normal(size=p.size) * 10.0 ** rng.integers(-6, 2)
         net.grads[:] = g
-        opt.step(net.parameters())
+        opt.step(net.params, net.grads)
         p, cache = unfused_rmsprop(p, cache, g, 1e-3, 0.9, 1e-8)
         assert np.array_equal(net.params, p)
 
