@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import detectors, evaluate, gan, nn, nslkdd
+from . import detectors, evaluate, gan, nslkdd
 from .masks import ABLATION, FUNCTIONAL_ONLY
 from .nslkdd import EmptyDataset, MalformedRecord, UnknownAttack, UnreadableFile
 
@@ -267,7 +267,7 @@ def cmd_train_ids(config: evaluate.ExperimentConfig) -> int:
     model_dir.mkdir(parents=True, exist_ok=True)
     for algorithm in config.algorithms:
         model = inputs.detectors[algorithm].model
-        detectors.save_model(model, model_dir / f"{algorithm}.blob")
+        detectors.save_model(model, model_dir / f"{algorithm}.npz")
         train_acc = float((model.predict(inputs.ids_X) == inputs.ids_y).mean())
         print(f"trained {algorithm}: train accuracy {train_acc:.4f}")
     _write_effective_config(config, out)
@@ -281,8 +281,8 @@ def cmd_train_gan(config: evaluate.ExperimentConfig) -> int:
     def save_cell(key, cell):
         cell_dir = out / "gan" / "_".join(key)
         cell_dir.mkdir(parents=True, exist_ok=True)
-        nn.save_network(cell.generator, cell_dir / "generator.blob", {"role": "generator"})
-        nn.save_network(cell.critic, cell_dir / "critic.blob", {"role": "critic"})
+        np.savez(cell_dir / "generator.npz", **cell.generator.param_arrays())
+        np.savez(cell_dir / "critic.npz", **cell.critic.param_arrays())
         gan.write_trace_csv(cell_dir / "trace.csv", cell.history)
         final = cell.history[-1].probe_adv_dr if cell.history else float("nan")
         print(

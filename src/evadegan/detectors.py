@@ -29,7 +29,6 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .blob import save_blob
 
 LABEL_NORMAL = 0
 LABEL_ATTACK = 1
@@ -46,7 +45,7 @@ DEFAULT_HYPERPARAMS = {
     "knn": {"k": 5, "max_reference": 20000},
 }
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 # Query rows whose k-NN distances are computed and ranked together,
 # so the scratch stays small and the passes stay in cache.
@@ -90,7 +89,7 @@ class ClassifierModel:
             raise SchemaMismatch(f"expected (n, {n_features}) vectors, got {X.shape}")
         return X
 
-    # blob and manifest outputs; nothing in the package reads them back
+    # .npz and manifest outputs; nothing in the package reads them back
     def _arrays(self) -> dict:
         raise NotImplementedError
 
@@ -491,7 +490,7 @@ class KNearestNeighbors(ClassifierModel):
 
     def _arrays(self):
         # scaling by -2 is exact, so this is the fitted reference set bit for bit
-        return {"ref_X": self.ref_aug[:-2].T / -2.0, "ref_y": self.ref_y.astype(float)}
+        return {"ref_X": self.ref_aug[:-2].T / -2.0, "ref_y": self.ref_y}
 
 
 def _nearest_attack_votes(dist, ref_y, k):
@@ -572,8 +571,8 @@ def fit(
 
 
 def save_model(model: ClassifierModel, path) -> None:
-    """Write the model blob and a JSON manifest beside it."""
-    save_blob(path, model._arrays(), meta=model.manifest())
+    """Write the model's arrays with `np.savez` and a JSON manifest beside them."""
+    np.savez(path, **model._arrays())
     Path(path).with_suffix(".manifest.json").write_text(
         json.dumps(model.manifest(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

@@ -386,15 +386,12 @@ def _fit_task(inputs, config, algorithm):
     return algorithm, fit_detector(inputs, config, algorithm)
 
 
-def _cell_task(inputs, config, task):
-    algorithm, attack, setting, detector = task
-    # A pool worker's copy of the inputs predates the fits.
-    inputs.detectors[algorithm] = detector
-    return (algorithm, attack, setting), run_cell(inputs, config, algorithm, attack, setting)
+def _cell_task(inputs, config, key):
+    return key, run_cell(inputs, config, *key)
 
 
 # (inputs, config) inside a pool worker. The fork hands them over without
-# pickling, so tasks carry no matrices.
+# pickling, fitted detectors included, so tasks carry no matrices.
 _worker_run = None
 
 
@@ -429,15 +426,16 @@ def _in_worker(fn, task):
 
 
 @contextmanager
-def _task_map(inputs, config: ExperimentConfig, most_tasks: int):
+def _task_map(inputs, config: ExperimentConfig, n_tasks: int):
     """Lazy map(fn, tasks) calling fn(inputs, config, task), results in task order.
 
     A fork pool's ``imap`` running one task per chunk, with ``config.jobs``
-    workers capped at `most_tasks`, the longest task list the map is given;
-    with one worker, a generator and no pool. Consume the results inside the
+    workers capped at `n_tasks`, the length of the task list the map is
+    given; with one worker, a generator and no pool. Workers fork on entry,
+    so they see `inputs` as it is then. Consume the results inside the
     ``with`` block.
     """
-    workers = min(config.jobs, most_tasks)
+    workers = min(config.jobs, n_tasks)
     if workers <= 1:
         yield lambda fn, tasks: (fn(inputs, config, t) for t in tasks)
         return
@@ -454,22 +452,25 @@ def run_experiment(config: ExperimentConfig, on_cell=None) -> ExperimentResult:
 
     This is the one loop over the grid: ``evaluate`` runs it with a test
     file, ``train-gan`` without one and ``train-ids`` with no attack groups,
-    which fits the detectors and trains no GAN. ``on_cell(key, cell)`` sees
-    each cell's `CellResult` in this process as it finishes, in grid order;
-    only its row and history are kept, so one finished cell's networks at
-    most are alive here. Rows come out in sorted cell order.
+    which fits the detectors and trains no GAN. The fits and the cells run
+    as two phases, each in its own task map: the cells' workers fork after
+    the fits, so they inherit the fitted detectors and a cell task is just
+    its key. ``on_cell(key, cell)`` sees each cell's `CellResult` in this
+    process as it finishes, in grid order; only its row and history are
+    kept, so one finished cell's networks at most are alive here. Rows come
+    out in sorted cell order.
     """
     inputs = prepare_grid_inputs(config)
-    results = []
-    n_cells = len(config.algorithms) * len(config.attacks) * len(config.settings)
-    with _task_map(inputs, config, max(len(config.algorithms), n_cells)) as task_map:
+    with _task_map(inputs, config, len(config.algorithms)) as task_map:
         inputs.detectors.update(task_map(_fit_task, config.algorithms))
-        cells = [
-            (algorithm, attack, setting, inputs.detectors[algorithm])
-            for algorithm in config.algorithms
-            for attack in config.attacks
-            for setting in config.settings
-        ]
+    cells = [
+        (algorithm, attack, setting)
+        for algorithm in config.algorithms
+        for attack in config.attacks
+        for setting in config.settings
+    ]
+    results = []
+    with _task_map(inputs, config, len(cells)) as task_map:
         for key, cell in task_map(_cell_task, cells):
             if on_cell is not None:
                 on_cell(key, cell)

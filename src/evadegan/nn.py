@@ -12,8 +12,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blob import save_blob
-
 
 class ShapeMismatch(ValueError):
     pass
@@ -68,23 +66,38 @@ class Network:
         size = sum((n_in + 1) * n_out for n_in, n_out in zip(self.dims, self.dims[1:]))
         self.params = np.empty(size)
         self.grads = np.zeros(size)
+        self._bind()
+        for layer, n_in in zip(self.layers, self.dims):
+            bound = np.sqrt(1.0 / n_in)
+            layer.weights[...] = rng.uniform(-bound, bound, size=layer.weights.shape)
+            layer.bias[...] = rng.uniform(-bound, bound, size=layer.bias.shape)
+
+    def _bind(self):
+        """Make ``layers`` views into ``params`` and ``grads``, with no cached forward."""
         layers = []
         start = 0
         for n_in, n_out in zip(self.dims, self.dims[1:]):
             mid, end = start + n_in * n_out, start + (n_in + 1) * n_out
-            layer = Layer(
-                self.params[start:mid].reshape(n_out, n_in),
-                self.params[mid:end],
-                self.grads[start:mid].reshape(n_out, n_in),
-                self.grads[mid:end],
+            layers.append(
+                Layer(
+                    self.params[start:mid].reshape(n_out, n_in),
+                    self.params[mid:end],
+                    self.grads[start:mid].reshape(n_out, n_in),
+                    self.grads[mid:end],
+                )
             )
-            bound = np.sqrt(1.0 / n_in)
-            layer.weights[...] = rng.uniform(-bound, bound, size=(n_out, n_in))
-            layer.bias[...] = rng.uniform(-bound, bound, size=n_out)
-            layers.append(layer)
             start = end
         self.layers = tuple(layers)
         self._inputs = None  # each layer's input in the last cached forward
+
+    # Pickled as its dims and two buffers: the layers are rebuilt as views on
+    # load, since pickled copies would no longer see a step on ``params``.
+    def __getstate__(self):
+        return {"dims": self.dims, "params": self.params, "grads": self.grads}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._bind()
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         out = np.asarray(x, dtype=float)
@@ -179,9 +192,3 @@ def clip_network(net: Network, c: float) -> None:
         raise NonPositiveClip(f"clip threshold must be positive, got {c}")
     np.clip(net.params, -c, c, out=net.params)
 
-
-def save_network(net: Network, path, meta: dict | None = None) -> None:
-    """Write a network's parameters to a versioned blob with its layer dims."""
-    header = {"dims": list(net.dims)}
-    header.update(meta or {})
-    save_blob(path, net.param_arrays(), meta=header)

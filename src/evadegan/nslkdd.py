@@ -31,6 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .nn import make_rng
+
 N_FEATURES = 41
 
 CONTINUOUS = "continuous"
@@ -518,9 +520,11 @@ def split_indices(records: Records, seed: int):
 
     The shuffle is stratified per attack category and assignment alternates
     between halves, so every category with at least two records lands in
-    both halves while the overall half sizes differ by at most one.
+    both halves while the overall half sizes differ by at most one. The
+    shuffles draw from the master seed's own stream, ``make_rng(seed)``,
+    not from a derived seed.
     """
-    rng = np.random.default_rng(seed)
+    rng = make_rng(seed)
     order = [np.zeros(0, dtype=np.intp)]
     for code in sorted(np.unique(records.category).tolist(), key=lambda c: CATEGORIES[c].value):
         idxs = np.flatnonzero(records.category == code)

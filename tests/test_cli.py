@@ -308,7 +308,7 @@ class TestStagedTraining:
         )
         assert code == EXIT_OK
         for algorithm in ("lr", "dt"):
-            assert (prepared / "models" / f"{algorithm}.blob").exists()
+            assert (prepared / "models" / f"{algorithm}.npz").exists()
             manifest = json.loads(
                 (prepared / "models" / f"{algorithm}.manifest.json").read_text()
             )
@@ -341,8 +341,8 @@ class TestStagedTraining:
         inputs = evaluate.prepare_grid_inputs(config)
         for algorithm in config.algorithms:
             model = evaluate.fit_detector(inputs, config, algorithm).model
-            detectors.save_model(model, tmp_path / f"{algorithm}.blob")
-            for name in (f"{algorithm}.blob", f"{algorithm}.manifest.json"):
+            detectors.save_model(model, tmp_path / f"{algorithm}.npz")
+            for name in (f"{algorithm}.npz", f"{algorithm}.manifest.json"):
                 staged = (prepared / "models" / name).read_bytes()
                 assert staged == (tmp_path / name).read_bytes(), name
 
@@ -401,8 +401,8 @@ class TestStagedTraining:
         )
         assert code == EXIT_OK
         cell = prepared / "gan" / "lr_dos_functional_only"
-        assert (cell / "generator.blob").exists()
-        assert (cell / "critic.blob").exists()
+        assert (cell / "generator.npz").exists()
+        assert (cell / "critic.npz").exists()
         trace = (cell / "trace.csv").read_text().strip().splitlines()
         assert trace[0] == "epoch,loss_g,loss_d,probe_adv_dr,critic_updates"
         assert len(trace) == 1 + 3
@@ -449,6 +449,85 @@ class TestStagedTraining:
                 cell = f"{algorithm}_{attack}_{setting}"
                 trace = (staged / "gan" / cell / "trace.csv").read_bytes()
                 assert trace == (graded / "traces" / f"{cell}.csv").read_bytes(), cell
+
+
+STAGED_IDS = "lr,dt,knn,mlp"
+STAGED_GAN = ["--ids", "nb", "--attack", "dos,u2r_r2l", "--setting", "functional_only", *FAST_GAN]
+
+
+def staged_args(corpus_dir, out, jobs):
+    return ["--train", str(corpus_dir / "train.txt"), "--out", str(out), "--seed", "5", "--jobs", jobs]
+
+
+class TestStagedFiles:
+    """Staged models and networks are plain .npz files that numpy reads without pickle.
+
+    `TestStagedTraining.test_jobs_write_identical_trees` checks that two runs,
+    with ``--jobs 1`` and ``--jobs 2``, write them byte for byte the same.
+    """
+
+    @pytest.fixture(scope="class")
+    def staged(self, corpus_dir, tmp_path_factory):
+        # pooled: the saved detectors come back pickled from fit workers
+        out = tmp_path_factory.mktemp("staged")
+        args = staged_args(corpus_dir, out, "2")
+        assert run_cli("train-ids", *args, "--ids", STAGED_IDS) == EXIT_OK
+        assert run_cli("train-gan", *args, *STAGED_GAN) == EXIT_OK
+        return out
+
+    @staticmethod
+    def assert_npz_holds(path, arrays):
+        with np.load(path, allow_pickle=False) as saved:
+            assert sorted(saved.files) == sorted(arrays), path
+            for name, value in arrays.items():
+                assert saved[name].dtype == value.dtype, (path, name)
+                assert np.array_equal(saved[name], value), (path, name)
+
+    def test_models_hold_the_fitted_arrays(self, staged, corpus_dir):
+        config = build_run_config(make_parser().parse_args(
+            ["train-ids", *staged_args(corpus_dir, staged, "1"), "--ids", STAGED_IDS]
+        ))
+        inputs = evaluate.prepare_grid_inputs(config)
+        for algorithm in config.algorithms:
+            model = evaluate.fit_detector(inputs, config, algorithm).model
+            self.assert_npz_holds(staged / "models" / f"{algorithm}.npz", model._arrays())
+
+    def test_networks_hold_the_trained_parameters(self, staged, corpus_dir):
+        config = build_run_config(make_parser().parse_args(
+            ["train-gan", *staged_args(corpus_dir, staged, "1"), *STAGED_GAN]
+        ))
+        trained = {}
+
+        def keep(key, cell):
+            for role, net in (("generator", cell.generator), ("critic", cell.critic)):
+                trained["_".join(key), role] = {k: v.copy() for k, v in net.param_arrays().items()}
+
+        evaluate.run_experiment(config, on_cell=keep)
+        assert len(trained) == 2 * 2
+        for (cell, role), arrays in trained.items():
+            self.assert_npz_holds(staged / "gan" / cell / f"{role}.npz", arrays)
+
+    def test_parent_never_pickles_a_detector(self, corpus_dir, tmp_path, monkeypatch):
+        """Cell workers inherit the fitted detectors; only a fit worker pickles one, to return it."""
+        log = tmp_path / "pickled_by.txt"
+        getstate = detectors.KNearestNeighbors.__getstate__
+
+        def logged_getstate(model):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return getstate(model)
+
+        monkeypatch.setattr(detectors.KNearestNeighbors, "__getstate__", logged_getstate)
+        code = run_cli(
+            "evaluate", "--train", str(corpus_dir / "train.txt"),
+            "--test", str(corpus_dir / "test.txt"), "--out", str(tmp_path / "out"),
+            "--seed", "5", "--ids", "knn,lr", "--attack", "dos,u2r_r2l", "--jobs", "2",
+            *FAST_GAN,
+        )
+        assert code == EXIT_OK
+        pids = set(log.read_text(encoding="utf-8").split())
+        assert pids, "the k-NN fit worker pickles its result back"
+        assert str(os.getpid()) not in pids
 
 
 class TestEvaluate:

@@ -209,8 +209,8 @@ class TestAlgorithmOracles:
         assert np.array_equal(model._arrays()["ref_X"], model2._arrays()["ref_X"])
 
     @pytest.mark.parametrize("cap", [500, 50], ids=["below-cap", "at-cap"])
-    def test_knn_blob_reference_set_is_the_fitted_rows(self, toy_data, cap):
-        """The blob's ref_X is rebuilt from the stored product matrix bit for bit."""
+    def test_knn_saved_reference_set_is_the_fitted_rows(self, toy_data, cap):
+        """The saved ref_X is rebuilt from the stored product matrix bit for bit."""
         X, y = toy_data
         model = fit("knn", X, y, seed=6, hyperparams={"max_reference": cap})
         fitted = X if len(X) <= cap else X[nn.make_rng(6).choice(len(X), size=cap, replace=False)]
@@ -221,7 +221,7 @@ class TestSerialization:
     def test_manifest_written(self, toy_data, tmp_path):
         X, y = toy_data
         model = fit("dt", X, y, seed=13)
-        save_model(model, tmp_path / "dt.blob")
+        save_model(model, tmp_path / "dt.npz")
         manifest = (tmp_path / "dt.manifest.json").read_text()
         assert '"algorithm": "dt"' in manifest
         assert '"seed": 13' in manifest

@@ -1,5 +1,7 @@
 """Numerics core: the network's forward and backward, RMSProp, clipping, noise."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,38 @@ class TestCheckpoint:
         assert a == b
         assert a != c
 
+
+
+class TestPickle:
+    """A pickled network comes back with its layers as views into its buffers."""
+
+    def test_round_trip_layers_alias_the_buffers(self):
+        net = Network((5, 4, 3), make_rng(0))
+        x = make_rng(1).random((8, 5))
+        plain = pickle.dumps(net)
+        net.forward(x)
+        # the activation cache is left out
+        assert pickle.dumps(net) == plain
+        copy = pickle.loads(plain)
+        assert copy.dims == net.dims
+        for layer in copy.layers:
+            assert np.shares_memory(layer.weights, copy.params)
+            assert np.shares_memory(layer.bias, copy.params)
+            assert np.shares_memory(layer.grad_weights, copy.grads)
+            assert np.shares_memory(layer.grad_bias, copy.grads)
+        with pytest.raises(NoCachedForward):
+            copy.backward(np.ones((8, 3)))
+        assert np.array_equal(copy.forward(x), net.forward(x))
+
+    def test_round_trip_step_reaches_forward(self):
+        net = pickle.loads(pickle.dumps(Network((5, 4, 3), make_rng(0))))
+        x = make_rng(1).random((8, 5))
+        before = net.forward(x).copy()
+        net.backward(np.ones_like(before))
+        RmsProp(learning_rate=0.1).step(net.params, net.grads)
+        assert not np.array_equal(net.forward(x), before)
+        net.params[:] = 0.0
+        assert not net.forward(x).any()
 
 def test_clip_network_bounds_everything():
     net = Network((4, 8, 1), make_rng(6))

@@ -572,6 +572,24 @@ class TestSplitTrain:
         assert abs(len(a) - len(b)) <= 1
         assert len(a) + len(b) == len(train_records)
 
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**63 + 5])
+    def test_split_is_numpys_default_stream(self, train_records, seed):
+        """The split's shuffles draw from ``np.random.default_rng(seed)``'s stream, as they always have."""
+        rng = np.random.default_rng(seed)
+        order = []
+        for code in sorted(np.unique(train_records.category).tolist(),
+                           key=lambda c: nslkdd.CATEGORIES[c].value):
+            idxs = np.flatnonzero(train_records.category == code)
+            rng.shuffle(idxs)
+            order.append(idxs)
+        order = np.concatenate(order)
+        a, b = order[0::2].copy(), order[1::2].copy()
+        rng.shuffle(a)
+        rng.shuffle(b)
+        ids_rows, gan_rows = nslkdd.split_indices(train_records, seed)
+        assert np.array_equal(ids_rows, a)
+        assert np.array_equal(gan_rows, b)
+
 
 # ---------------------------------------------------------------------------
 # properties
