@@ -456,7 +456,8 @@ STAGED_GAN = ["--ids", "nb", "--attack", "dos,u2r_r2l", "--setting", "functional
 
 
 def staged_args(corpus_dir, out, jobs):
-    return ["--train", str(corpus_dir / "train.txt"), "--out", str(out), "--seed", "5", "--jobs", jobs]
+    train = str(corpus_dir / "train.txt")
+    return ["--train", train, "--out", str(out), "--seed", "5", "--jobs", jobs]
 
 
 class TestStagedFiles:

