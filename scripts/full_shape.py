@@ -21,13 +21,15 @@ SHA-256 of the encoded inputs, of the detector's labels for the DoS test
 records, of the epoch's trace CSV and of the trained generator and critic
 parameters, and whether the two sides agree on each.
 
-Memory, one run per algorithm and side (memory, unlike time, barely varies
-between runs): ingest, then ``evaluate.fit_detector``, which fits and labels
-every attack group's test records and the generator-half normals. It reports
+Memory and fit time, one run per algorithm and side (memory, unlike time,
+barely varies between runs): ingest, then ``evaluate.fit_detector`` twice,
+each call fitting the detector and labelling every attack group's test
+records and the generator-half normals. It reports
 
 - ``ingest_maxrss_mb``: the peak resident set size (``ru_maxrss``) after
   ingest;
-- ``detector_mb``: the ``tracemalloc`` peak over the fit and the labelling.
+- ``fit_s``: the wall time of the first call, which runs untraced;
+- ``detector_mb``: the ``tracemalloc`` peak over the second call.
   numpy reports its arrays to ``tracemalloc``, which starts after ingest,
   so this counts only what the detector phase allocates and shows a
   detector that holds more memory even while it stays under ingest's peak;
@@ -69,7 +71,7 @@ METRICS = ("ingest_s", "knn_fit_s", "knn_dos_epoch_s")
 DIGESTS = ("inputs", "labels", "history", "parameters")
 # What each kind of child must print.
 EPOCH_KEYS = (*METRICS, "digests")
-MEMORY_KEYS = ("algorithm", "ingest_maxrss_mb", "detector_mb", "labels_sha256")
+MEMORY_KEYS = ("algorithm", "ingest_maxrss_mb", "fit_s", "detector_mb", "labels_sha256")
 
 
 def maxrss_mb() -> float:
@@ -148,7 +150,7 @@ def measure_epoch(train: str, test: str) -> dict:
 
 
 def measure_memory(algorithm: str, train: str, test: str) -> dict:
-    """One detector's ingest, fit and labelling in this interpreter."""
+    """One detector's ingest, then its fit and labelling timed and traced, in this interpreter."""
     import tracemalloc
 
     from evadegan import evaluate
@@ -158,6 +160,9 @@ def measure_memory(algorithm: str, train: str, test: str) -> dict:
     )
     inputs = evaluate.prepare_grid_inputs(config)
     ingest = maxrss_mb()
+    start = time.perf_counter()
+    evaluate.fit_detector(inputs, config, algorithm)  # freed before the traced call
+    fit_s = time.perf_counter() - start
     tracemalloc.start()
     fitted = evaluate.fit_detector(inputs, config, algorithm)
     normals = fitted.normal_labels
@@ -170,6 +175,7 @@ def measure_memory(algorithm: str, train: str, test: str) -> dict:
     return {
         "algorithm": algorithm,
         "ingest_maxrss_mb": ingest,
+        "fit_s": fit_s,
         "detector_mb": peak / 2**20,
         "labels_sha256": digest.hexdigest(),
         "n_labels": sum(len(p) for p in fitted.original_predictions.values()) + len(normals),
@@ -298,7 +304,9 @@ def main(argv=None) -> int:
             record["memory"][algorithm] = entry = compare(runs["base"], runs["change"])
             args.out.write_text(json.dumps(record, indent=2) + "\n")
             print(
-                f"{algorithm:4s} detector {runs['base'].get('detector_mb', '-')} -> "
+                f"{algorithm:4s} fit {runs['base'].get('fit_s', '-')} -> "
+                f"{runs['change'].get('fit_s', '-')} s, "
+                f"detector {runs['base'].get('detector_mb', '-')} -> "
                 f"{runs['change'].get('detector_mb', '-')} MB, "
                 f"labels equal: {entry.get('labels_equal')}",
                 file=sys.stderr,

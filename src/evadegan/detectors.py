@@ -243,20 +243,17 @@ class LogisticRegression(AffineModel):
             order = rng.permutation(n)
             for start in range(0, n, batch):
                 idx = order[start : start + batch]
-                p = _sigmoid(X[idx] @ self.w + self.b)
-                err = p - y[idx]
-                self.w -= lr * (X[idx].T @ err) / len(idx)
+                xb = X[idx]
+                err = _sigmoid(xb @ self.w + self.b) - y[idx]
+                self.w -= lr * (xb.T @ err) / len(idx)
                 self.b -= lr * err.mean()
         return self
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp of -|z| only, so it never overflows
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class _NodeStore:
@@ -288,40 +285,43 @@ class _NodeStore:
 
 
 def _gini_counts(n_attack, n_total):
-    """Gini impurity from attack counts; n_total may be an array."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p = n_attack / n_total
-        g = 1.0 - p * p - (1.0 - p) * (1.0 - p)
-    return np.where(n_total > 0, g, 0.0)
+    """Gini impurity from attack counts; n_total (at least 1) may be an array."""
+    p = n_attack / n_total
+    return 1.0 - p * p - (1.0 - p) * (1.0 - p)
 
 
-def _best_split(X, y, feature_ids, min_leaf):
-    """Best (feature, threshold, gain) over candidate features, or None."""
-    n = len(y)
-    parent_gini = _gini_counts(y.sum(), n)
+def _best_split(X, rows, y, feature_ids, min_leaf):
+    """Best (feature, threshold, gain) over candidate features of ``X[rows]``, or None.
+
+    ``y`` holds the labels of ``rows``. A split lies between two distinct
+    sorted values, so the attacks left of it are those at or below the lower
+    value, whatever the order within a run of ties: a plain sort is enough.
+    """
+    n = len(rows)
+    n_attack = y.sum()
+    is_attack = y == LABEL_ATTACK
+    parent_gini = _gini_counts(n_attack, n)
+    # boundaries after sorted position p leave p + 1 rows left, min_leaf..n - min_leaf
+    lo, hi = min_leaf - 1, n - min_leaf
     best = None
     for f in feature_ids:
-        col = X[:, f]
-        order = np.argsort(col, kind="stable")
-        sorted_col = col[order]
-        sorted_y = y[order]
-        attack_left = np.cumsum(sorted_y)[:-1]
-        n_left = np.arange(1, n)
-        boundary = sorted_col[1:] != sorted_col[:-1]
-        valid = boundary & (n_left >= min_leaf) & (n - n_left >= min_leaf)
-        if not valid.any():
+        col = X[rows, f]
+        sorted_col = np.sort(col)
+        pos = lo + np.flatnonzero(sorted_col[lo + 1 : hi + 1] != sorted_col[lo:hi])
+        if not pos.size:
             continue
+        attack_left = np.searchsorted(np.sort(col[is_attack]), sorted_col[pos], side="right")
+        n_left = pos + 1
         n_right = n - n_left
         gini_l = _gini_counts(attack_left, n_left)
-        gini_r = _gini_counts(y.sum() - attack_left, n_right)
-        child = (n_left * gini_l + n_right * gini_r) / n
-        gain = np.where(valid, parent_gini - child, -np.inf)
-        pos = int(np.argmax(gain))
-        if gain[pos] <= 1e-12:
+        gini_r = _gini_counts(n_attack - attack_left, n_right)
+        gain = parent_gini - (n_left * gini_l + n_right * gini_r) / n
+        i = int(np.argmax(gain))
+        if gain[i] <= 1e-12:
             continue
-        threshold = 0.5 * (sorted_col[pos] + sorted_col[pos + 1])
-        if best is None or gain[pos] > best[2]:
-            best = (int(f), float(threshold), float(gain[pos]))
+        threshold = 0.5 * (sorted_col[pos[i]] + sorted_col[pos[i] + 1])
+        if best is None or gain[i] > best[2]:
+            best = (int(f), float(threshold), float(gain[i]))
     return best
 
 
@@ -334,9 +334,9 @@ def _leaf_label(y):
 def _grow_node(nodes, X, y, rows, depth, limits):
     """Grow the subtree over ``X[rows]`` in pre-order; returns its root node.
 
+    ``rows`` may repeat a row, as a bootstrap draw does; no row is copied.
     A plain recursive function, not a closure over itself: such a closure is
-    a reference cycle that keeps ``X`` (a forest's bootstrap copy) alive
-    until the cyclic garbage collector next runs.
+    a reference cycle, freed only when the cyclic garbage collector next runs.
     """
     max_depth, min_leaf, feature_rng, features_per_split = limits
     node = nodes.add_node()
@@ -348,7 +348,7 @@ def _grow_node(nodes, X, y, rows, depth, limits):
         feats = np.sort(feature_rng.choice(X.shape[1], size=features_per_split, replace=False))
     else:
         feats = np.arange(X.shape[1])
-    split = _best_split(X[rows], sub_y, feats, min_leaf)
+    split = _best_split(X, rows, sub_y, feats, min_leaf)
     if split is None:
         nodes.leaf_label[node] = _leaf_label(sub_y)
         return node
@@ -364,16 +364,12 @@ def _grow_node(nodes, X, y, rows, depth, limits):
 class ForestModel(ClassifierModel):
     """Trees in one node store, one root each; the majority of their votes labels a row."""
 
-    def _grow(self, samples, feature_rng=None, features_per_split=None):
-        """Grow one tree per ``(X, y)`` sample, in order, into one node store."""
+    def _grow(self, X, y, samples, feature_rng=None, features_per_split=None):
+        """Grow one tree per row-index array of ``samples``, in order, into one node store."""
         hp = self.hyperparams
         limits = (hp["max_depth"], hp["min_leaf"], feature_rng, features_per_split)
         self.nodes = _NodeStore()
-        roots = []
-        for X, y in samples:
-            roots.append(_grow_node(self.nodes, X, y, np.arange(len(y)), 0, limits))
-            # a forest's bootstrap sample is freed before the next is drawn
-            del X, y
+        roots = [_grow_node(self.nodes, X, y, rows, 0, limits) for rows in samples]
         self.nodes.freeze()
         self.roots = np.asarray(roots, dtype=int)
 
@@ -409,7 +405,7 @@ class DecisionTree(ForestModel):
 
     def fit(self, X, y, rng):
         self.n_features = X.shape[1]
-        self._grow([(X, y)])
+        self._grow(X, y, [np.arange(len(y))])
         return self
 
 
@@ -421,15 +417,11 @@ class RandomForest(ForestModel):
     def fit(self, X, y, rng):
         n = X.shape[0]
         self.n_features = X.shape[1]
-
-        def bootstraps():
-            # drawn lazily: each sample only once the previous tree is grown
-            for _ in range(self.hyperparams["n_trees"]):
-                rows = rng.integers(0, n, size=n)
-                yield X[rows], y[rows]
-
         self._grow(
-            bootstraps(),
+            X,
+            y,
+            # drawn lazily: each bootstrap only once the previous tree is grown
+            (rng.integers(0, n, size=n) for _ in range(self.hyperparams["n_trees"])),
             feature_rng=rng,
             features_per_split=min(self.hyperparams["features_per_split"], self.n_features),
         )

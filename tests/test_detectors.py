@@ -1,6 +1,7 @@
 """The seven black-box detectors: contracts, oracles, determinism, memory."""
 
 import gc
+import hashlib
 import pickle
 import tracemalloc
 
@@ -227,6 +228,94 @@ class TestSerialization:
         assert '"seed": 13' in manifest
 
 
+def best_split_by_stable_argsort(X, y, feature_ids, min_leaf):
+    """The earlier split scan over a copy of the node's rows: a stable argsort per feature,
+    attack counts from a cumulative sum, and every position's gain masked to the valid ones."""
+    n = len(y)
+    parent_gini = detectors._gini_counts(y.sum(), n)
+    best = None
+    for f in feature_ids:
+        col = X[:, f]
+        order = np.argsort(col, kind="stable")
+        sorted_col = col[order]
+        attack_left = np.cumsum(y[order])[:-1]
+        n_left = np.arange(1, n)
+        n_right = n - n_left
+        valid = (sorted_col[1:] != sorted_col[:-1]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+        if not valid.any():
+            continue
+        gini_l = detectors._gini_counts(attack_left, n_left)
+        gini_r = detectors._gini_counts(y.sum() - attack_left, n_right)
+        gain = np.where(valid, parent_gini - (n_left * gini_l + n_right * gini_r) / n, -np.inf)
+        pos = int(np.argmax(gain))
+        if gain[pos] <= 1e-12:
+            continue
+        threshold = 0.5 * (sorted_col[pos] + sorted_col[pos + 1])
+        if best is None or gain[pos] > best[2]:
+            best = (int(f), float(threshold), float(gain[pos]))
+    return best
+
+
+@st.composite
+def split_cases(draw):
+    """A node's matrix, labels and rows: few value levels (many ties), rows repeated as a
+    bootstrap repeats them, a sorted feature subset and a leaf size from 1 to 6."""
+    n_base, d = draw(st.integers(2, 30)), draw(st.integers(1, 5))
+    levels = draw(st.lists(st.sampled_from([-0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 3.0]), min_size=1))
+    X = np.array(draw(st.lists(st.sampled_from(levels), min_size=n_base * d, max_size=n_base * d)))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n_base, max_size=n_base)))
+    rows = np.array(draw(st.lists(st.integers(0, n_base - 1), min_size=2, max_size=60)))
+    feats = sorted(draw(st.sets(st.integers(0, d - 1), min_size=1)))
+    return X.reshape(n_base, d), y, rows, np.array(feats), draw(st.integers(1, 6))
+
+
+def tree_digest(model):
+    """SHA-256 over a forest's saved arrays, with their names, dtypes and shapes."""
+    digest = hashlib.sha256()
+    for name, array in sorted(model._arrays().items()):
+        array = np.ascontiguousarray(array)
+        digest.update(f"{name}:{array.dtype.str}:{array.shape};".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+class TestTreeSplits:
+    @settings(max_examples=300, deadline=None)
+    @given(split_cases())
+    def test_best_split_equals_stable_argsort_scan(self, case):
+        X, y, rows, feats, min_leaf = case
+        expected = best_split_by_stable_argsort(X[rows], y[rows], feats, min_leaf)
+        assert detectors._best_split(X, rows, y[rows], feats, min_leaf) == expected
+
+    # Digests of trees grown by the stable-argsort scan over copied rows; any change
+    # to a split, a threshold, a leaf or the node order changes them.
+    @pytest.mark.parametrize(
+        "algorithm,hyperparams,digest",
+        [
+            ("dt", {}, "983eb1ec834231bbb60b2352a2d26c292efc2f2914c9354bf600aaec98979f32"),
+            (
+                "dt",
+                {"max_depth": 30, "min_leaf": 1},
+                "150d99f7fdad4a322fbff43fe8334560fcf91d079f80ea23f2762e1e63ace844",
+            ),
+            ("rf", {}, "accda6647c095735a7b257f4abbb5c7cf05e04cdf1c4c69f69a3a73f953dd5f8"),
+            (
+                "rf",
+                {"n_trees": 9, "max_depth": 8, "min_leaf": 2, "features_per_split": 3},
+                "ca7b67630116853b0c16f6041224374eb39145337c6e0ca5bc4ae1a6c9ed6d46",
+            ),
+        ],
+    )
+    def test_trees_are_pinned(self, algorithm, hyperparams, digest):
+        rng = np.random.default_rng(2501)
+        X = rng.random((600, 41))
+        X[:, :20] = np.round(X[:, :20] * 4) / 4  # ties, as encoded tokens give
+        X[:, 20:30] = (X[:, 20:30] > 0.7).astype(float)  # binary columns
+        y = ((X[:, 0] + X[:, 21] + 0.6 * rng.random(600)) > 1.1).astype(int)
+        model = fit(algorithm, X, y, seed=17, hyperparams=hyperparams)
+        assert tree_digest(model) == digest
+
+
 def knn_labels_512(model, X):
     """k-NN labels by the earlier formula: 512-row chunks, distances in one expression."""
     ref_X = model._arrays()["ref_X"]
@@ -300,8 +389,8 @@ class TestMemoryBounds:
     def test_fit_leaves_no_cyclic_garbage(self, toy_data, algorithm):
         """Reference counting alone frees what a fit allocates.
 
-        A reference cycle would keep, say, a forest's bootstrap copies alive
-        until the cyclic collector happens to run.
+        A reference cycle would keep, say, a forest's bootstrap row indices
+        alive until the cyclic collector happens to run.
         """
         X, y = toy_data
         fit(algorithm, X, y, seed=3)  # first calls may import or cache lazily

@@ -25,6 +25,7 @@ def memory(detector_mb, digest="ab"):
     return {
         "algorithm": "knn",
         "ingest_maxrss_mb": 250.0,
+        "fit_s": 4.0,
         "detector_mb": detector_mb,
         "labels_sha256": digest,
         "n_labels": 10,
@@ -90,4 +91,4 @@ def test_measurements_run_against_this_package(corpus_dir):
     assert set(epoch["digests"]) == set(full_shape.DIGESTS)
     record = full_shape.measure_memory("knn", train, test)
     assert set(full_shape.MEMORY_KEYS) <= set(record)
-    assert record["detector_mb"] > 0 and record["n_labels"] > 0
+    assert record["fit_s"] > 0 and record["detector_mb"] > 0 and record["n_labels"] > 0
