@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
-"""Run a (detector x attack x setting) grid and emit the report files.
+"""Run a (detector x attack x setting) grid through `evadegan evaluate`.
 
 By default this is a three-detector grid on synthetic data, a few minutes
 of work. With real NSL-KDD files and --full it reproduces the complete
-7x2x2 experiment at full-scale settings (expect hours).
+7x2x2 experiment at full-scale settings (expect hours). The output
+directory is the CLI's: report.csv, report.json, schema.txt,
+effective.cfg and traces/<cell>.csv, each trace written as its cell
+finishes.
 """
 
 import argparse
+import sys
 import tempfile
 from pathlib import Path
 
-from evadegan import detectors, gan, synthetic
-from evadegan.evaluate import ExperimentConfig, run_experiment
+from evadegan import cli, synthetic
 
 
 def main():
@@ -33,49 +36,13 @@ def main():
         synthetic.write_corpus_pair(train_path, test_path, 6000, 2500, seed=args.seed)
         print(f"wrote synthetic corpus pair -> {d}")
 
-    if args.full:
-        algorithms = detectors.ALGORITHMS
-        train_config = gan.TrainConfig()
-    else:
-        algorithms = ("lr", "dt", "nb")
-        train_config = gan.TrainConfig(epochs=100, probe_size=64)
-
-    config = ExperimentConfig(
-        train_path=str(train_path),
-        test_path=str(test_path),
-        master_seed=args.seed,
-        algorithms=algorithms,
-        attacks=("dos", "u2r_r2l"),
-        settings=("functional_only", "ablation"),
-        gan=train_config,
-        jobs=args.jobs,
-    )
-    cells = len(algorithms) * 2 * 2
-    print(f"running {cells} cells (algorithms={','.join(algorithms)}, "
-          f"gan epochs={train_config.epochs}, jobs={args.jobs})")
-
-    def progress(key, cell):
-        # called as each cell finishes; cell.generator and cell.critic are its networks
-        print(f"  {'/'.join(key)}: adversarial DR {100 * cell.row.adversarial_dr:.2f}%")
-
-    result = run_experiment(config, on_cell=progress)
-
-    out = Path(args.out) if args.out else Path(tempfile.mkdtemp())
-    out.mkdir(parents=True, exist_ok=True)
-    result.report.write_csv(out / "report.csv")
-    result.report.write_json(out / "report.json")
-    result.inputs.schema.save(out / "schema.txt")
-    for (algorithm, attack, setting), history in result.traces.items():
-        gan.write_trace_csv(out / f"trace_{algorithm}_{attack}_{setting}.csv", history)
-
-    print(f"\n{'model':>6} {'attack':<8} {'setting':<16} {'orig DR':>8} {'adv DR':>8} {'EIR':>8}")
-    for row in result.report.sorted_rows():
-        eir = "   --" if row.eir is None else f"{100 * row.eir:7.2f}%"
-        flag = " *low-confidence" if row.low_confidence else ""
-        print(f"{row.algorithm:>6} {row.attack:<8} {row.setting:<16} "
-              f"{100 * row.original_dr:7.2f}% {100 * row.adversarial_dr:7.2f}% {eir}{flag}")
-    print(f"\nreport -> {out / 'report.csv'}")
+    argv = ["evaluate", "--train", str(train_path), "--test", str(test_path),
+            "--seed", str(args.seed), "--jobs", str(args.jobs),
+            "--out", args.out or tempfile.mkdtemp()]
+    if not args.full:
+        argv += ["--ids", "lr,dt,nb", "--set", "gan.probe_size=64"]
+    return cli.main(argv)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -298,16 +298,17 @@ def cmd_train_gan(config: evaluate.ExperimentConfig) -> int:
 def cmd_evaluate(config: evaluate.ExperimentConfig) -> int:
     if config.test_path is None:
         raise ConfigError("no test data path (data.test / --test)")
-    result = evaluate.run_experiment(config)
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+
+    def save_trace(key, cell):
+        # Made here, not before the run, so a failed ingest or fit leaves no `out`.
+        (out / "traces").mkdir(parents=True, exist_ok=True)
+        gan.write_trace_csv(out / "traces" / f"{'_'.join(key)}.csv", cell.history)
+
+    result = evaluate.run_experiment(config, on_cell=save_trace)
     result.inputs.schema.save(out / "schema.txt")
     result.report.write_csv(out / "report.csv")
     result.report.write_json(out / "report.json")
-    trace_dir = out / "traces"
-    trace_dir.mkdir(exist_ok=True)
-    for (algorithm, attack, setting), history in result.traces.items():
-        gan.write_trace_csv(trace_dir / f"{algorithm}_{attack}_{setting}.csv", history)
     _write_effective_config(config, out)
 
     for row in result.report.sorted_rows():

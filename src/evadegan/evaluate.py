@@ -173,13 +173,12 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
-    """A run's report rows (none without a test file), its traces and its inputs.
+    """A run's report rows (none without a test file) and its inputs.
 
     ``inputs.detectors`` holds each algorithm's fitted detector.
     """
 
     report: EvalReport
-    traces: dict
     inputs: _GridInputs
 
 
@@ -456,9 +455,9 @@ def run_experiment(config: ExperimentConfig, on_cell=None) -> ExperimentResult:
     as two phases, each in its own task map: the cells' workers fork after
     the fits, so they inherit the fitted detectors and a cell task is just
     its key. ``on_cell(key, cell)`` sees each cell's `CellResult` in this
-    process as it finishes, in grid order; only its row and history are
-    kept, so one finished cell's networks at most are alive here. Rows come
-    out in sorted cell order.
+    process as it finishes, in grid order, and is where a cell's networks
+    and history leave the run; only its row is kept. Rows come out in
+    sorted cell order.
     """
     inputs = prepare_grid_inputs(config)
     with _task_map(inputs, config, len(config.algorithms)) as task_map:
@@ -469,17 +468,12 @@ def run_experiment(config: ExperimentConfig, on_cell=None) -> ExperimentResult:
         for attack in config.attacks
         for setting in config.settings
     ]
-    results = []
+    report = EvalReport()
     with _task_map(inputs, config, len(cells)) as task_map:
         for key, cell in task_map(_cell_task, cells):
             if on_cell is not None:
                 on_cell(key, cell)
-            results.append((key, cell.row, cell.history))
-
-    report = EvalReport()
-    traces = {}
-    for key, row, history in sorted(results, key=lambda r: r[0]):
-        if row is not None:
-            report.rows.append(row)
-        traces[key] = history
-    return ExperimentResult(report=report, traces=traces, inputs=inputs)
+            if cell.row is not None:
+                report.rows.append(cell.row)
+    report.rows = report.sorted_rows()
+    return ExperimentResult(report=report, inputs=inputs)

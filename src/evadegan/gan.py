@@ -16,6 +16,7 @@ detector and used for every evaluation.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,5 +292,7 @@ def write_trace_csv(path, history) -> None:
         lines.append(
             f"{h.epoch},{h.loss_g!r},{h.loss_d!r},{h.probe_adv_dr!r},{h.critic_updates}"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+    os.replace(tmp, path)  # so `path` only ever holds a whole trace

@@ -13,6 +13,7 @@ from evadegan import detectors, evaluate, gan, nn, nslkdd, synthetic
 from evadegan.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_DIVERGED,
     EXIT_OK,
     ConfigError,
     build_run_config,
@@ -547,6 +548,33 @@ class TestEvaluate:
         assert (out / "report.json").exists()
         assert (out / "effective.cfg").exists()
         assert (out / "traces" / "nb_dos_functional_only.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_late_failure_keeps_finished_traces(self, corpus_dir, tmp_path, monkeypatch, jobs):
+        """The fifth cell diverges: exit 4, no report, and the four cells before it on disk."""
+        data = [
+            "evaluate", "--train", str(corpus_dir / "train.txt"),
+            "--test", str(corpus_dir / "test.txt"), "--seed", "5",
+            "--ids", "dt,lr", "--jobs", jobs, *FAST_GAN,
+        ]
+        whole, failed = tmp_path / "whole", tmp_path / "failed"
+        assert run_cli(*data, "--out", str(whole)) == EXIT_OK
+        run_cell = evaluate.run_cell
+
+        def diverge_in_fifth_cell(inputs, config, *key):
+            if key == ("lr", "dos", "functional_only"):
+                raise gan.TrainingDiverged("loss_g is not finite")
+            return run_cell(inputs, config, *key)
+
+        monkeypatch.setattr(evaluate, "run_cell", diverge_in_fifth_cell)
+        assert run_cli(*data, "--out", str(failed)) == EXIT_DIVERGED
+        assert not (failed / "report.csv").exists()
+        assert not list(failed.rglob("*.tmp"))
+        kept = sorted(p.name for p in (failed / "traces").iterdir())
+        assert kept == sorted(p.name for p in (whole / "traces").glob("dt_*.csv"))
+        assert len(kept) == 4
+        for name in kept:
+            assert (failed / "traces" / name).read_bytes() == (whole / "traces" / name).read_bytes()
 
     def test_missing_test_path_is_config_error(self, corpus_dir):
         code = run_cli("evaluate", "--train", str(corpus_dir / "train.txt"))

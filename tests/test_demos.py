@@ -61,13 +61,32 @@ def test_demo_04_reports_the_evaluate_cell(tiny_corpus, tmp_path, monkeypatch, c
         settings=cell[2:],
         gan=gan.TrainConfig(epochs=2),
     )
-    result = run_experiment(config)
-    gan.write_trace_csv(tmp_path / "evaluate.csv", result.traces[cell])
+    histories = {}
+    result = run_experiment(config, on_cell=lambda key, c: histories.update({key: c.history}))
+    gan.write_trace_csv(tmp_path / "evaluate.csv", histories[cell])
     demo_trace = tmp_path / "trace_nb_dos_ablation.csv"
     assert demo_trace.read_bytes() == (tmp_path / "evaluate.csv").read_bytes()
     (row,) = result.report.rows
     assert f"original detection rate on test attacks: {100 * row.original_dr:.2f}%" in out
     assert f"adversarial detection rate: {100 * row.adversarial_dr:.2f}% " in out
+
+
+def test_demo_05_writes_the_evaluate_layout(tiny_corpus, tmp_path, monkeypatch, capsys):
+    """Demo 05 is `evadegan evaluate`: it exits 0 and writes a trace per cell under traces/."""
+    out = tmp_path / "grid"
+    args = ["--train", str(tiny_corpus / "train.txt"), "--test", str(tiny_corpus / "test.txt"),
+            "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", ["05_experiment_grid.py", *args])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(DEMOS / "05_experiment_grid.py"), run_name="__main__")
+    assert exc.value.code == 0
+    assert f"report -> {out / 'report.csv'}" in capsys.readouterr().out
+    assert sorted(p.name for p in (out / "traces").iterdir()) == sorted(
+        f"{algorithm}_{attack}_{setting}.csv"
+        for algorithm in ("lr", "dt", "nb")
+        for attack in ("dos", "u2r_r2l")
+        for setting in ("functional_only", "ablation")
+    )
 
 
 def test_demo_04_rejects_a_cell_without_a_mask(tmp_path, monkeypatch, capsys):

@@ -126,8 +126,16 @@ class TestEvalReport:
         assert row.original_dr == pytest.approx(row.n_detected_original / row.n_attack_records)
 
 
+def run_with_histories(config):
+    """`run_experiment`'s result and the history `on_cell` receives for each cell."""
+    histories = {}
+    result = run_experiment(config, on_cell=lambda key, cell: histories.update({key: cell.history}))
+    return result, histories
+
+
 @pytest.fixture(scope="module")
 def small_grid_result(corpus_dir):
+    """The lr/dt grid's config, result and per-cell histories."""
     config = ExperimentConfig(
         train_path=str(corpus_dir / "train.txt"),
         test_path=str(corpus_dir / "test.txt"),
@@ -137,16 +145,16 @@ def small_grid_result(corpus_dir):
         settings=("functional_only", "ablation"),
         gan=gan.TrainConfig(epochs=8, probe_size=32),
     )
-    return config, run_experiment(config)
+    return (config, *run_with_histories(config))
 
 
 class TestRunExperiment:
     def test_grid_row_count(self, small_grid_result):
-        _, result = small_grid_result
+        _, result, _ = small_grid_result
         assert len(result.report.rows) == 2 * 2 * 2
 
     def test_rows_cover_grid(self, small_grid_result):
-        _, result = small_grid_result
+        _, result, _ = small_grid_result
         keys = {(r.algorithm, r.attack, r.setting) for r in result.report.rows}
         assert keys == {
             (a, g, s)
@@ -156,7 +164,7 @@ class TestRunExperiment:
         }
 
     def test_counts_reconcile(self, small_grid_result):
-        _, result = small_grid_result
+        _, result, _ = small_grid_result
         for row in result.report.rows:
             assert 0 <= row.n_detected_original <= row.n_attack_records
             assert 0 <= row.n_detected_adversarial <= row.n_attack_records
@@ -168,7 +176,7 @@ class TestRunExperiment:
             )
 
     def test_eir_consistency(self, small_grid_result):
-        _, result = small_grid_result
+        _, result, _ = small_grid_result
         for row in result.report.rows:
             if row.original_dr == 0.0:
                 assert row.eir is None
@@ -177,20 +185,18 @@ class TestRunExperiment:
                 assert abs(row.eir - expected) <= 1e-12
 
     def test_low_confidence_flag(self, small_grid_result):
-        _, result = small_grid_result
+        _, result, _ = small_grid_result
         for row in result.report.rows:
             assert row.low_confidence == (row.original_dr < evaluate.LOW_CONFIDENCE_DR)
 
     def test_traces_present_per_cell(self, small_grid_result):
-        config, result = small_grid_result
-        assert set(result.traces) == {
-            (r.algorithm, r.attack, r.setting) for r in result.report.rows
-        }
-        for history in result.traces.values():
+        config, result, histories = small_grid_result
+        assert set(histories) == {(r.algorithm, r.attack, r.setting) for r in result.report.rows}
+        for history in histories.values():
             assert len(history) == config.gan.epochs
 
     def test_deterministic_rerun(self, small_grid_result):
-        config, result = small_grid_result
+        config, result, _ = small_grid_result
         again = run_experiment(config)
         assert again.report.to_csv_text() == result.report.to_csv_text()
 
@@ -214,20 +220,21 @@ class TestRunExperiment:
         assert fits == {"lr": 1, "dt": 1}
 
     def test_attack_subset_matches_full_grid(self, small_grid_result):
-        config, result = small_grid_result
+        config, result, _ = small_grid_result
         subset = run_experiment(dataclasses.replace(config, attacks=("u2r_r2l",)))
         assert subset.report.rows == [r for r in result.report.rows if r.attack == "u2r_r2l"]
 
     def test_jobs_give_identical_report(self, small_grid_result):
-        config, result = small_grid_result
-        pooled = run_experiment(dataclasses.replace(config, jobs=2))
+        config, result, histories = small_grid_result
+        pooled, pooled_histories = run_with_histories(dataclasses.replace(config, jobs=2))
         assert pooled.report.to_csv_text() == result.report.to_csv_text()
-        assert pooled.traces == result.traces
+        assert pooled_histories == histories
         # k-NN's labels rest on fixed call shapes, which the pool must keep
         knn = dataclasses.replace(config, algorithms=("knn",))
-        serial, pooled = run_experiment(knn), run_experiment(dataclasses.replace(knn, jobs=2))
+        serial, serial_histories = run_with_histories(knn)
+        pooled, pooled_histories = run_with_histories(dataclasses.replace(knn, jobs=2))
         assert pooled.report.to_csv_text() == serial.report.to_csv_text()
-        assert pooled.traces == serial.traces
+        assert pooled_histories == serial_histories
 
     def test_pool_workers_run_one_blas_thread(self):
         get_threads = evaluate._openblas_threads("get")
@@ -283,7 +290,7 @@ def test_small_grid_matches_golden_report(small_grid_result):
     ``EVADEGAN_WRITE_GOLDEN=1 python -m pytest tests/test_evaluate.py`` and
     says in CHANGES.md which rows moved and why.
     """
-    _, result = small_grid_result
+    _, result, _ = small_grid_result
     text = result.report.to_csv_text()
     if os.environ.get("EVADEGAN_WRITE_GOLDEN"):
         GOLDEN_REPORT.parent.mkdir(exist_ok=True)
@@ -320,9 +327,9 @@ def test_small_grid_matches_golden_traces(small_grid_result, tmp_path):
     also names the numpy, BLAS and BLAS kernel it was recorded with. Rewrite
     with ``EVADEGAN_WRITE_GOLDEN=1 python -m pytest tests/test_evaluate.py``.
     """
-    _, result = small_grid_result
+    _, _, histories = small_grid_result
     digests = {}
-    for cell, history in sorted(result.traces.items()):
+    for cell, history in sorted(histories.items()):
         path = tmp_path / ("_".join(cell) + ".csv")
         gan.write_trace_csv(path, history)
         digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()

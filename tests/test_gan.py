@@ -364,6 +364,17 @@ class TestTrain:
         lines = (tmp_path / "trace.csv").read_text().strip().splitlines()
         assert lines[0] == "epoch,loss_g,loss_d,probe_adv_dr,critic_updates"
         assert len(lines) == 1 + len(history)
+
+    def test_trace_csv_overwrite_is_whole(self, tmp_path):
+        """Rewriting a trace leaves exactly the new bytes and no temporary file."""
+        path = tmp_path / "trace.csv"
+        path.write_text("an older, longer trace\n" * 100)
+        gan.write_trace_csv(path, [gan.EpochStats(0, 0.5, float("nan"), 0.75, 0)])
+        assert path.read_bytes() == (
+            b"epoch,loss_g,loss_d,probe_adv_dr,critic_updates\n0,0.5,nan,0.75,0\n"
+        )
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_nan_critic_loss_means_no_critic_update(self, dos_setup, schema, tmp_path):
         """At 100 epochs, every NaN loss_d in the trace sits on a row with critic_updates 0."""
         normals, attacks, mask, _ = dos_setup
