@@ -8,7 +8,7 @@ the artifact directory alone.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 training
 divergence. Any other failure, such as a bug inside a grid cell, propagates
-with its traceback.
+with its traceback and a note naming the cell.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ DATA_ERRORS = (
     gan.TooFewAttacks,
 )
 
-_GAN_FIELDS = {f.name for f in dataclasses.fields(gan.TrainConfig)}
+_GAN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(gan.TrainConfig)}
 
 
 class ConfigError(ValueError):
@@ -136,43 +136,37 @@ RUN_KEYS = {
 }
 
 
-def _check_hyperparam(key: str, value, default) -> None:
-    """An ids.* value must have the type of its default in detectors.DEFAULT_HYPERPARAMS."""
+def _parse_hyperparam(key: str, raw: str, default):
+    """A gan.* or ids.* value: parsed like its default, then held to the one rule for its kind."""
+    value = _parse_scalar(raw)
     if isinstance(default, tuple):
+        value = value if isinstance(value, tuple) else (value,)
         ok = bool(value) and all(isinstance(v, int) and v >= 1 for v in value)
         expected = "one or more integers >= 1"
     elif isinstance(default, int):
-        least = 0 if key == "ids.knn.max_reference" else 1  # 0 means no cap
+        least = 0 if key in ("gan.epochs", "ids.knn.max_reference") else 1  # 0: no epochs / no cap
         ok, expected = isinstance(value, int) and value >= least, f"an integer >= {least}"
+    elif key == "gan.rmsprop_rho":
+        ok, expected = isinstance(value, (int, float)) and 0 <= value < 1, "a number in [0, 1)"
     else:
         ok = isinstance(value, (int, float)) and math.isfinite(value) and value > 0
         expected = "a finite number > 0"
     if not ok:
         raise ConfigError(f"{key} must be {expected}, got {value!r}")
+    return value
 
 
 def _apply_key(config: evaluate.ExperimentConfig, key: str, raw: str) -> None:
+    section, _, name = key.partition(".")
+    algorithm, _, param = name.partition(".")
     if key in RUN_KEYS:
         attr, parse, _, _ = RUN_KEYS[key]
         setattr(config, attr, parse(key, raw))
-    elif key.startswith("gan."):
-        name = key[4:]
-        if name not in _GAN_FIELDS:
-            raise ConfigError(f"unknown config key: {key}")
-        value = _parse_scalar(raw)
-        if name in ("gen_hidden", "critic_hidden") and not isinstance(value, tuple):
-            value = (value,)
-        setattr(config.gan, name, value)
-    elif key.startswith("ids."):
-        parts = key.split(".")
-        if len(parts) != 3 or parts[2] not in detectors.DEFAULT_HYPERPARAMS.get(parts[1], ()):
-            raise ConfigError(f"unknown config key: {key}")
-        default = detectors.DEFAULT_HYPERPARAMS[parts[1]][parts[2]]
-        value = _parse_scalar(raw)
-        if isinstance(default, tuple) and not isinstance(value, tuple):
-            value = (value,)
-        _check_hyperparam(key, value, default)
-        config.ids_hyperparams.setdefault(parts[1], {})[parts[2]] = value
+    elif section == "gan" and name in _GAN_DEFAULTS:
+        setattr(config.gan, name, _parse_hyperparam(key, raw, _GAN_DEFAULTS[name]))
+    elif section == "ids" and param in detectors.DEFAULT_HYPERPARAMS.get(algorithm, ()):
+        value = _parse_hyperparam(key, raw, detectors.DEFAULT_HYPERPARAMS[algorithm][param])
+        config.ids_hyperparams.setdefault(algorithm, {})[param] = value
     else:
         raise ConfigError(f"unknown config key: {key}")
 
@@ -190,10 +184,6 @@ def build_run_config(args) -> evaluate.ExperimentConfig:
     config = evaluate.ExperimentConfig()
     for key, raw in pairs:
         _apply_key(config, key, raw)
-    try:
-        config.gan.validate()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"gan: {exc}") from None
     if config.train_path is None:
         raise ConfigError("no training data path (data.train / --train)")
     unbuildable = evaluate.cells_without_mask(config.attacks, config.settings)
@@ -219,7 +209,7 @@ def _render(value) -> str:
 def _rendered_pairs(config: evaluate.ExperimentConfig) -> dict:
     """Every key of the merged configuration, with its value as effective.cfg writes it."""
     pairs = {key: getattr(config, attr) for key, (attr, _, _, _) in RUN_KEYS.items()}
-    pairs.update((f"gan.{f}", getattr(config.gan, f)) for f in _GAN_FIELDS)
+    pairs.update((f"gan.{f}", getattr(config.gan, f)) for f in _GAN_DEFAULTS)
     for algorithm, params in config.ids_hyperparams.items():
         pairs.update((f"ids.{algorithm}.{param}", value) for param, value in params.items())
     return {key: _render(value) for key, value in pairs.items()}
@@ -349,6 +339,11 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _with_notes(exc: BaseException) -> str:
+    """The exception's message after its notes, which name the grid cell it came from."""
+    return ": ".join([*getattr(exc, "__notes__", ()), str(exc)])
+
+
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
@@ -358,18 +353,10 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except gan.TrainingDiverged as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
+        print(f"training diverged: {_with_notes(exc)}", file=sys.stderr)
         return EXIT_DIVERGED
-    except evaluate.ExperimentCellError as exc:
-        if isinstance(exc.cause, gan.TrainingDiverged):
-            print(f"training diverged: {exc}", file=sys.stderr)
-            return EXIT_DIVERGED
-        if isinstance(exc.cause, DATA_ERRORS):
-            print(f"data error: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        raise
     except DATA_ERRORS as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+        print(f"data error: {_with_notes(exc)}", file=sys.stderr)
         return EXIT_DATA
 
 

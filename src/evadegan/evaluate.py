@@ -55,21 +55,6 @@ class UndefinedEIR(ValueError):
     """EIR has no value when the original detection rate is zero."""
 
 
-class ExperimentCellError(RuntimeError):
-    """Wraps a sub-module failure with its experiment-cell coordinates.
-
-    ``cause`` is the wrapped exception. Unlike ``__cause__``, it survives the
-    trip back from a pool worker.
-    """
-
-    def __init__(self, message: str, cause: BaseException):
-        super().__init__(message)
-        self.cause = cause
-
-    def __reduce__(self):
-        return type(self), (self.args[0], self.cause)
-
-
 def detection_rate(predictions) -> float:
     """Fraction of ground-truth attack records that were labeled attack."""
     predictions = np.asarray(predictions)
@@ -308,7 +293,8 @@ def fit_detector(inputs: _GridInputs, config: ExperimentConfig, algorithm: str) 
             normal_labels=model.predict(inputs.gan_normals) if config.attacks else None,
         )
     except Exception as exc:
-        raise ExperimentCellError(f"detector (algorithm={algorithm}): {exc}", exc) from exc
+        exc.add_note(f"detector (algorithm={algorithm})")
+        raise
 
 
 @dataclass
@@ -377,8 +363,8 @@ def run_cell(
             )
         return CellResult(generator=generator, critic=critic, history=history, row=row)
     except Exception as exc:
-        cell = f"cell (algorithm={algorithm}, attack={attack}, setting={setting})"
-        raise ExperimentCellError(f"{cell}: {exc}", exc) from exc
+        exc.add_note(f"cell (algorithm={algorithm}, attack={attack}, setting={setting})")
+        raise
 
 
 def _fit_task(inputs, config, algorithm):

@@ -3,13 +3,14 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from evadegan import detectors, evaluate, gan, nn, nslkdd, synthetic
+from evadegan import cli, detectors, evaluate, gan, nn, nslkdd, synthetic
 from evadegan.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -29,6 +30,70 @@ FAST_GAN = [
     "--set", "gan.gen_hidden=16,16,16,16",
     "--set", "gan.critic_hidden=16,8",
 ]
+
+
+HYPERPARAM_KEYS = [f"gan.{f.name}" for f in dataclasses.fields(gan.TrainConfig)] + [
+    f"ids.{algorithm}.{param}"
+    for algorithm, params in detectors.DEFAULT_HYPERPARAMS.items()
+    for param in params
+]
+HYPERPARAM_VALUES = [
+    "0", "1", "2", "-1", "1.5", "0.0", "0.5", "0.99", "1.0", "1e-9", "nan", "inf", "-inf",
+    "abc", "", "16,16", "16,0", ",", "0,", "3, 4", "1e400", "-0.0", "2.5,3",
+]
+
+
+def _reference_validate(cfg: gan.TrainConfig) -> None:
+    """The gan.* checks that one rule replaced: a check of the merged TrainConfig."""
+    for name in ("batch_size", "epochs", "noise_dim", "g_steps", "d_steps", "probe_size"):
+        if not isinstance(getattr(cfg, name), (int, np.integer)):
+            raise ValueError(f"{name} must be an integer")
+    for name in ("lr_g", "lr_d", "clip_c", "rmsprop_rho", "rmsprop_epsilon"):
+        value = getattr(cfg, name)
+        if not isinstance(value, (int, float)) or not np.isfinite(value):
+            raise ValueError(f"{name} must be a finite number")
+    for name in ("gen_hidden", "critic_hidden"):
+        sizes = getattr(cfg, name)
+        if not sizes or not all(isinstance(v, (int, np.integer)) and v >= 1 for v in sizes):
+            raise ValueError(f"{name} must be one or more integers >= 1")
+    for name in ("batch_size", "lr_g", "lr_d", "clip_c", "noise_dim", "rmsprop_epsilon"):
+        if getattr(cfg, name) <= 0:
+            raise ValueError(f"{name} must be positive")
+    if cfg.epochs < 0 or cfg.g_steps < 1 or cfg.d_steps < 1 or cfg.probe_size < 1:
+        raise ValueError("epochs must be >= 0, g_steps/d_steps/probe_size >= 1")
+    if not 0 <= cfg.rmsprop_rho < 1:
+        raise ValueError("rmsprop_rho must lie in [0, 1)")
+
+
+def _reference_check_hyperparam(key: str, value, default) -> None:
+    """The ids.* check that one rule replaced: by the type of the key's default."""
+    if isinstance(default, tuple):
+        ok = bool(value) and all(isinstance(v, int) and v >= 1 for v in value)
+    elif isinstance(default, int):
+        least = 0 if key == "ids.knn.max_reference" else 1
+        ok = isinstance(value, int) and value >= least
+    else:
+        ok = isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+    if not ok:
+        raise ValueError(f"{key}: {value!r}")
+
+
+def _reference_apply(config: evaluate.ExperimentConfig, key: str, raw: str) -> None:
+    """Set one gan.* or ids.* key by the two rule sets the one parser replaced."""
+    value = cli._parse_scalar(raw)
+    if key.startswith("gan."):
+        name = key[4:]
+        if name in ("gen_hidden", "critic_hidden") and not isinstance(value, tuple):
+            value = (value,)
+        setattr(config.gan, name, value)
+        _reference_validate(config.gan)
+        return
+    _, algorithm, param = key.split(".")
+    default = detectors.DEFAULT_HYPERPARAMS[algorithm][param]
+    if isinstance(default, tuple) and not isinstance(value, tuple):
+        value = (value,)
+    _reference_check_hyperparam(key, value, default)
+    config.ids_hyperparams.setdefault(algorithm, {})[param] = value
 
 
 def run_cli(*argv):
@@ -127,6 +192,13 @@ class TestConfigParsing:
             ("--set", "gan.gen_hidden=0"),
             ("--set", "gan.critic_hidden=16,0"),
             ("--set", "gan.critic_hidden=,"),
+            ("--set", "gan.rmsprop_rho=1"),
+            ("--set", "gan.rmsprop_rho=-0.1"),
+            ("--set", "gan.clip_c=0"),
+            ("--set", "gan.lr_d=inf"),
+            ("--set", "gan.lr_g=nan"),
+            ("--set", "gan.noise_dim=0"),
+            ("--set", "gan.d_steps=0"),
             ("--set", "ids.algorithms="),
             ("--set", "attacks="),
             ("--set", "settings= , "),
@@ -149,6 +221,50 @@ class TestConfigParsing:
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key", ["gan.epochs", "gan.rmsprop_rho", "ids.knn.max_reference"]
+    )
+    def test_zero_is_accepted_where_allowed(self, tmp_path, key):
+        args = make_parser().parse_args(["evaluate", "--train", "t.txt", "--set", f"{key}=0"])
+        text = effective_config_text(build_run_config(args))
+        assert f"{key} = 0\n" in text
+        (tmp_path / "effective.cfg").write_text(text)
+        again = build_run_config(
+            make_parser().parse_args(["evaluate", "--config", str(tmp_path / "effective.cfg")])
+        )
+        assert effective_config_text(again) == text
+
+    def test_bad_file_value_is_config_error_under_a_later_set(self, tmp_path, capsys):
+        """Each value is checked as it is read, so a later --set does not excuse a bad one."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("data.train = t.txt\ngan.epochs = -1\n")
+        out = tmp_path / "o"
+        code = run_cli(
+            "evaluate", "--config", str(cfg), "--set", "gan.epochs=5", "--out", str(out)
+        )
+        assert code == EXIT_CONFIG
+        assert "gan.epochs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", HYPERPARAM_KEYS)
+    def test_hyperparam_rule_equals_the_two_it_replaced(self, key):
+        """One rule for gan.* and ids.* accepts what TrainConfig.validate and
+        _check_hyperparam accepted, and effective.cfg renders it the same."""
+        for raw in HYPERPARAM_VALUES:
+            expected = evaluate.ExperimentConfig(train_path="t.txt")
+            try:
+                _reference_apply(expected, key, raw)
+            except (TypeError, ValueError):
+                expected = None
+            argv = ["evaluate", "--train", "t.txt", "--set", f"{key}={raw}"]
+            try:
+                config = build_run_config(make_parser().parse_args(argv))
+            except ConfigError:
+                config = None
+            assert (config is None) == (expected is None), f"{key}={raw!r}"
+            if config is not None:
+                assert effective_config_text(config) == effective_config_text(expected)
 
     @pytest.mark.parametrize(
         "flags",
@@ -656,14 +772,33 @@ class TestCellErrorExitCodes:
             raise nn.ShapeMismatch("expected (n, 9) input, got (64, 8)")
 
         monkeypatch.setattr(gan, "train", broken_train)
-        with pytest.raises(evaluate.ExperimentCellError) as info:
+        with pytest.raises(nn.ShapeMismatch) as info:
             run_cli(
                 "evaluate", "--train", str(corpus_dir / "train.txt"),
                 "--test", str(corpus_dir / "test.txt"), "--out", str(tmp_path / "o"),
                 "--ids", "nb", "--attack", "dos", "--setting", "functional_only",
                 *FAST_GAN,
             )
-        assert isinstance(info.value.cause, nn.ShapeMismatch)
+        assert info.value.__notes__ == ["cell (algorithm=nb, attack=dos, setting=functional_only)"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_divergence_names_the_cell(self, corpus_dir, tmp_path, monkeypatch, capsys, jobs):
+        """Both cells diverge; the first in grid order is reported, also through the pool."""
+
+        def diverging_train(*args, **kwargs):
+            raise gan.TrainingDiverged("loss_g is not finite at epoch 1")
+
+        monkeypatch.setattr(gan, "train", diverging_train)
+        code = run_cli(
+            "evaluate", "--train", str(corpus_dir / "train.txt"),
+            "--test", str(corpus_dir / "test.txt"), "--out", str(tmp_path / "o"),
+            "--ids", "nb", "--attack", "dos", "--jobs", jobs, *FAST_GAN,
+        )
+        assert code == EXIT_DIVERGED
+        assert capsys.readouterr().err == (
+            "training diverged: cell (algorithm=nb, attack=dos, setting=functional_only): "
+            "loss_g is not finite at epoch 1\n"
+        )
 
 
 class TestTooFewAttackRecords:
