@@ -8,7 +8,7 @@ attack semantics; the ablation setting freezes an extra fixed list.
 import argparse
 from pathlib import Path
 
-from evadegan.masks import ablation_mask, functional_mask
+from evadegan.masks import ABLATION, FUNCTIONAL_ONLY, mask_for
 from evadegan.nslkdd import FEATURE_NAMES, FEATURE_TABLE, AttackCategory
 
 
@@ -30,12 +30,12 @@ def main():
 
     print("x = modifiable, . = frozen; columns follow file order inside each set")
     for category in (AttackCategory.DOS, AttackCategory.U2R, AttackCategory.R2L, AttackCategory.PROBE):
-        show(functional_mask(category))
+        show(mask_for(category, FUNCTIONAL_ONLY))
     for category in (AttackCategory.DOS, AttackCategory.U2R):
-        show(ablation_mask(category))
+        show(mask_for(category, ABLATION))
 
-    dos_fun = functional_mask(AttackCategory.DOS)
-    dos_abl = ablation_mask(AttackCategory.DOS)
+    dos_fun = mask_for(AttackCategory.DOS, FUNCTIONAL_ONLY)
+    dos_abl = mask_for(AttackCategory.DOS, ABLATION)
     extra = [
         FEATURE_NAMES[i]
         for i in range(41)
@@ -49,7 +49,7 @@ def main():
         out = Path(args.export_dir)
         out.mkdir(parents=True, exist_ok=True)
         for category in (AttackCategory.DOS, AttackCategory.U2R, AttackCategory.R2L, AttackCategory.PROBE):
-            mask = functional_mask(category)
+            mask = mask_for(category, FUNCTIONAL_ONLY)
             path = out / f"mask_{category.value}_functional_only.txt"
             path.write_text(mask.to_text(), encoding="utf-8")
             print(f"wrote {path}")

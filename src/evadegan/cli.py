@@ -26,7 +26,7 @@ import numpy as np
 
 from . import detectors, evaluate, gan, nslkdd
 from .masks import ABLATION, FUNCTIONAL_ONLY
-from .nslkdd import EmptyDataset, MalformedRecord, UnknownAttack, UnreadableFile
+from .nslkdd import EmptyDataset, MalformedRecord, UnreadableFile
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -36,7 +36,6 @@ EXIT_DIVERGED = 4
 # Faults in the input data: they exit with EXIT_DATA, also from inside a grid cell.
 DATA_ERRORS = (
     MalformedRecord,
-    UnknownAttack,
     UnreadableFile,
     EmptyDataset,
     evaluate.EmptyEvaluationSet,
@@ -104,15 +103,17 @@ def _parse_path(key: str, raw: str):
 
 
 def _names_from(choices, noun):
-    """Parser of a comma list of names, each one of `choices`; an empty list is an empty grid."""
+    """Parser of a comma list of distinct names, each one of `choices`; none is an empty grid."""
 
     def parse(key: str, raw: str) -> tuple:
         names = tuple(a.strip() for a in raw.split(",") if a.strip())
         if not names:
             raise ConfigError(f"{key} is empty, so the grid has no cells")
-        for name in names:
+        for i, name in enumerate(names):
             if name not in choices:
                 raise ConfigError(f"unknown {noun}: {name!r}")
+            if name in names[:i]:
+                raise ConfigError(f"{key} names {name!r} twice")
         return names
 
     return parse

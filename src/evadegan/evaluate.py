@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from . import detectors, gan, nn
-from .masks import ABLATION, FUNCTIONAL_ONLY, mask_for
+from .masks import ABLATION, FUNCTIONAL_ONLY, MASKS, mask_for
 from .nslkdd import AttackCategory, FeatureSchema, Records, encode_batch, load_file
 from .nslkdd import split_and_schema
 
@@ -31,15 +31,13 @@ ATTACK_GROUPS = {
 
 
 def cells_without_mask(attacks, settings) -> list[str]:
-    """Each (attack group, constraint setting) pair that has no constraint mask, with why."""
-    missing = []
-    for attack in attacks:
-        for setting in settings:
-            try:
-                mask_for(ATTACK_GROUPS[attack][0], setting)
-            except ValueError as exc:
-                missing.append(f"{attack}/{setting} ({exc})")
-    return missing
+    """Each (attack group, constraint setting) pair that has no constraint mask."""
+    return [
+        f"{attack}/{setting}"
+        for attack in attacks
+        for setting in settings
+        if (ATTACK_GROUPS[attack][0], setting) not in MASKS
+    ]
 
 
 LOW_CONFIDENCE_DR = 0.02
@@ -367,12 +365,8 @@ def run_cell(
         raise
 
 
-def _fit_task(inputs, config, algorithm):
-    return algorithm, fit_detector(inputs, config, algorithm)
-
-
 def _cell_task(inputs, config, key):
-    return key, run_cell(inputs, config, *key)
+    return run_cell(inputs, config, *key)
 
 
 # (inputs, config) inside a pool worker. The fork hands them over without
@@ -447,7 +441,7 @@ def run_experiment(config: ExperimentConfig, on_cell=None) -> ExperimentResult:
     """
     inputs = prepare_grid_inputs(config)
     with _task_map(inputs, config, len(config.algorithms)) as task_map:
-        inputs.detectors.update(task_map(_fit_task, config.algorithms))
+        inputs.detectors.update(zip(config.algorithms, task_map(fit_detector, config.algorithms)))
     cells = [
         (algorithm, attack, setting)
         for algorithm in config.algorithms
@@ -456,7 +450,7 @@ def run_experiment(config: ExperimentConfig, on_cell=None) -> ExperimentResult:
     ]
     report = EvalReport()
     with _task_map(inputs, config, len(cells)) as task_map:
-        for key, cell in task_map(_cell_task, cells):
+        for key, cell in zip(cells, task_map(_cell_task, cells)):
             if on_cell is not None:
                 on_cell(key, cell)
             if cell.row is not None:

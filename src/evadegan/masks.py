@@ -3,7 +3,8 @@
 Each attack category owns a set of functional feature groups that carry the
 attack's behavior and must survive perturbation untouched. Masks mark the
 remaining features as modifiable; the ablation setting freezes an extra
-fixed list of features on top of the functional ones.
+fixed list of features on top of the functional ones. Each mask is built
+once, at import, into `MASKS`.
 """
 
 from __future__ import annotations
@@ -66,14 +67,6 @@ _ABLATION_EXTRA = {
 _ABLATION_EXTRA[AttackCategory.R2L] = _ABLATION_EXTRA[AttackCategory.U2R]
 
 
-class NoMaskForNormal(ValueError):
-    """Raised when a mask is requested for the normal category."""
-
-
-class NoAblationDefined(ValueError):
-    """Raised for categories without an ablation feature list."""
-
-
 @dataclass(frozen=True)
 class FeatureMask:
     modifiable: np.ndarray
@@ -89,36 +82,32 @@ class FeatureMask:
         return "\n".join(lines) + "\n"
 
 
-def functional_mask(category: AttackCategory) -> FeatureMask:
-    """Mask that frees every feature outside the category's functional sets."""
-    if category == AttackCategory.NORMAL:
-        raise NoMaskForNormal("normal traffic has no perturbation mask")
+def _build(category: AttackCategory, setting: str) -> FeatureMask:
+    """Freeze the category's functional sets and, under ablation, its extra feature list."""
     frozen_sets = _FUNCTIONAL_SETS[category]
-    modifiable = np.array(
-        [fset not in frozen_sets for (_, _, fset) in FEATURE_TABLE], dtype=bool
-    )
-    return FeatureMask(modifiable=modifiable, category=category, setting=FUNCTIONAL_ONLY)
+    modifiable = np.array([fset not in frozen_sets for (_, _, fset) in FEATURE_TABLE])
+    if setting == ABLATION:
+        modifiable[[FEATURE_INDEX[name] for name in _ABLATION_EXTRA[category]]] = False
+    modifiable.flags.writeable = False
+    return FeatureMask(modifiable=modifiable, category=category, setting=setting)
 
 
-def ablation_mask(category: AttackCategory) -> FeatureMask:
-    """Functional mask with the category's extra unmodified features frozen."""
-    if category == AttackCategory.NORMAL:
-        raise NoMaskForNormal("normal traffic has no perturbation mask")
-    if category not in _ABLATION_EXTRA:
-        raise NoAblationDefined(f"no ablation feature list for {category.value}")
-    base = functional_mask(category)
-    modifiable = base.modifiable.copy()
-    for name in _ABLATION_EXTRA[category]:
-        modifiable[FEATURE_INDEX[name]] = False
-    return FeatureMask(modifiable=modifiable, category=category, setting=ABLATION)
+# Every (category, setting) pair that has a mask, built once; callers share them read-only.
+# Normal traffic has none, and probe has no ablation list.
+MASKS = {
+    (category, setting): _build(category, setting)
+    for category in _FUNCTIONAL_SETS
+    for setting in (FUNCTIONAL_ONLY, ABLATION)
+    if setting == FUNCTIONAL_ONLY or category in _ABLATION_EXTRA
+}
 
 
 def mask_for(category: AttackCategory, setting: str) -> FeatureMask:
-    if setting == FUNCTIONAL_ONLY:
-        return functional_mask(category)
-    if setting == ABLATION:
-        return ablation_mask(category)
-    raise ValueError(f"unknown constraint setting: {setting!r}")
+    """The pair's shared mask; a pair without one raises ValueError naming it."""
+    try:
+        return MASKS[category, setting]
+    except KeyError:
+        raise ValueError(f"no constraint mask for {category.value}/{setting}") from None
 
 
 def apply_mask_batch(

@@ -10,7 +10,7 @@ three kinds: 3 symbolic multi-valued features (protocol_type, service, flag),
 Blank lines are skipped; every other line must have 43 fields, an integer
 difficulty, finite numeric fields >= 0, binary fields of 0 or 1
 (su_attempted 2 reads as 0) and a label in the attack taxonomy, or
-`MalformedRecord` (for the label `UnknownAttack`) names its 1-based line
+`MalformedRecord` (for the label, its subclass `UnknownAttack`) names its 1-based line
 number; the CLI exits 3.
 
 Encoding converts symbolic tokens to 1-based vocabulary indices, then
@@ -166,7 +166,7 @@ class MalformedRecord(ValueError):
     """Raised when a line is not a valid 43-field NSL-KDD row."""
 
 
-class UnknownAttack(KeyError):
+class UnknownAttack(MalformedRecord):
     """Raised for attack labels absent from the embedded taxonomy."""
 
 
@@ -252,7 +252,6 @@ _ROW_DTYPE = np.dtype(
 _TEXT_COLUMNS = (*SYMBOLIC_INDICES, N_FEATURES)
 _READ = dict(delimiter=",", comments=None, encoding="utf-8")
 _SU_ATTEMPTED = FEATURE_INDEX["su_attempted"]
-_ROW_ERRORS = (MalformedRecord, UnknownAttack)
 # Lines read and parsed at a time: at most ~0.6 MB of structured rows, whatever the file's size.
 _SLICE_LINES = 1024
 # Bytes read at a time while the file's line ends are counted.
@@ -310,7 +309,7 @@ def _parse_lines(lines: list, first: int, records: Records, start: int) -> tuple
     if min(map(len, lines)) > 1:
         try:
             return len(lines), _parse_slice(data, records.take(slice(start, start + len(lines))))
-        except _ROW_ERRORS:
+        except MalformedRecord:
             pass  # a line of whitespace, invalid UTF-8 or a bad row: look at the lines one by one
     numbered = _numbered_rows(data, first)
     if not numbered:
@@ -319,7 +318,7 @@ def _parse_lines(lines: list, first: int, records: Records, start: int) -> tuple
     count = len(numbered)
     try:
         return count, _parse_slice(rows, records.take(slice(start, start + count)))
-    except _ROW_ERRORS as exc:
+    except MalformedRecord as exc:
         raise _line_error(exc, numbered) from None
 
 
@@ -381,7 +380,7 @@ def _line_error(error: Exception, numbered: list) -> Exception:
         try:
             parse_rows(lo, mid)
             lo = mid
-        except _ROW_ERRORS:
+        except MalformedRecord:
             hi = mid
     lineno, line = numbered[lo]
     n_fields = line.count(",") + 1
@@ -389,7 +388,7 @@ def _line_error(error: Exception, numbered: list) -> Exception:
         if n_fields != N_FEATURES + 2:
             raise MalformedRecord(f"expected {N_FEATURES + 2} fields, got {n_fields}")
         parse_rows(lo, lo + 1)
-    except _ROW_ERRORS as exc:
+    except MalformedRecord as exc:
         error = exc
     return type(error)(f"{error.args[0]} (line {lineno})")
 

@@ -23,7 +23,7 @@ from evadegan.evaluate import (
     evasion_increase_rate,
     run_experiment,
 )
-from evadegan.masks import functional_mask
+from evadegan.masks import FUNCTIONAL_ONLY, mask_for
 from evadegan.nslkdd import AttackCategory
 
 from conftest import real_dataset_dir, requires_real_dataset
@@ -147,7 +147,7 @@ def trained_generators(corpus_dir):
     for attack, categories in (("dos", (AttackCategory.DOS,)),
                                ("u2r_r2l", (AttackCategory.U2R, AttackCategory.R2L))):
         attacks = gan_X[gan_half.is_in(categories)]
-        mask = functional_mask(categories[0])
+        mask = mask_for(categories[0], FUNCTIONAL_ONLY)
         config = gan.TrainConfig(epochs=8, probe_size=32)
         generator = gan.build_generator(config, nn.make_rng(nn.derive_seed(13, attack, "g")))
         critic = gan.build_critic(config, nn.make_rng(nn.derive_seed(13, attack, "c")))
@@ -252,7 +252,7 @@ def test_c6_numerical_suite():
     normal, attack = rng.random((10, 41)), rng.random((12, 41))
     config = gan.TrainConfig()
     generator = gan.build_generator(config, nn.make_rng(6))
-    mask = functional_mask(AttackCategory.DOS)
+    mask = mask_for(AttackCategory.DOS, FUNCTIONAL_ONLY)
     noise = rng.random((len(attack), config.noise_dim))
     _, adversarial = gan._masked_forward(generator, attack, mask, noise)
     adversarial_mean = critic.forward(adversarial, cache=False)[:, 0].mean()

@@ -283,6 +283,27 @@ class TestConfigParsing:
         assert "probe/ablation" in err and "dos/" not in err and "functional_only" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key,raw,name",
+        [
+            pytest.param("ids.algorithms", "lr,dt,lr", "lr", id="ids.algorithms"),
+            pytest.param("attacks", "dos,dos", "dos", id="attacks"),
+            pytest.param(
+                "settings", "functional_only, functional_only", "functional_only", id="settings"
+            ),
+        ],
+    )
+    def test_repeated_name_is_config_error(self, tmp_path, capsys, key, raw, name):
+        """A name given twice would run its cells twice; refused before any file is read."""
+        out = tmp_path / "o"
+        code = run_cli(
+            "evaluate", "--train", str(tmp_path / "missing.txt"),
+            "--test", str(tmp_path / "missing.txt"), "--out", str(out), "--set", f"{key}={raw}",
+        )
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {key} names {name!r} twice\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("with_test", [True, False], ids=["test", "no-test"])
     @pytest.mark.parametrize("command", ["prepare", "train-ids", "train-gan", "evaluate"])
     def test_effective_config_round_trips(self, tmp_path, corpus_dir, command, with_test):
@@ -359,6 +380,19 @@ class TestPrepare:
         code = run_cli("prepare", "--train", str(bad), "--out", str(tmp_path / "o"))
         assert code == EXIT_DATA
         assert "line 2" in capsys.readouterr().err
+
+    def test_unknown_attack_is_a_plain_data_error(self, tmp_path, capsys):
+        """An unknown label reads like every other bad line: no quotes around the message."""
+        bad = tmp_path / "bad.txt"
+        lines = ["0," * 40 + "0,normal,1"] * 3
+        lines[1] = "0," * 40 + "0,foo_attack,1"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        code = run_cli("prepare", "--train", str(bad), "--out", str(out))
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == "data error: attack name not in taxonomy: 'foo_attack' (line 2)\n"
+        assert not out.exists()
 
     def test_missing_file_is_data_error(self, tmp_path):
         code = run_cli("prepare", "--train", str(tmp_path / "nope.txt"))

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evadegan import detectors, evaluate, gan, masks
+from evadegan import detectors, evaluate, gan
 from evadegan.detectors import LABEL_ATTACK, LABEL_NORMAL
 from evadegan.evaluate import (
     EmptyEvaluationSet,
@@ -272,9 +272,9 @@ class TestRunExperiment:
             settings=("ablation",),  # no ablation list exists for probe
             gan=gan.TrainConfig(epochs=1),
         )
-        with pytest.raises(masks.NoAblationDefined) as info:
+        with pytest.raises(ValueError, match="no constraint mask for probe/ablation") as info:
             run_experiment(config)
-        assert any("attack=probe" in note for note in info.value.__notes__)
+        assert info.value.__notes__ == ["cell (algorithm=lr, attack=probe, setting=ablation)"]
 
 
 def _blas_threads(inputs, config, task):

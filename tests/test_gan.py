@@ -17,7 +17,7 @@ from evadegan.gan import (
     generator_step,
     train,
 )
-from evadegan.masks import functional_mask
+from evadegan.masks import FUNCTIONAL_ONLY, mask_for
 from evadegan.nslkdd import AttackCategory
 
 
@@ -45,7 +45,7 @@ def dos_setup(encoded, schema):
     ids_X, ids_y, gan_X, gan_half = encoded
     normals = gan_X[gan_half.is_in((AttackCategory.NORMAL,))]
     attacks = gan_X[gan_half.is_in((AttackCategory.DOS,))]
-    mask = functional_mask(AttackCategory.DOS)
+    mask = mask_for(AttackCategory.DOS, FUNCTIONAL_ONLY)
     ids_model = detectors.fit("lr", ids_X, ids_y, seed=1)
     return normals, attacks, mask, ids_model
 
@@ -79,7 +79,7 @@ def generator_loss(critic, batch, seed) -> tuple:
     """(loss generator_step returns, the masked continuous batch the critic scored)."""
     config = TrainConfig()
     gen = build_generator(config, nn.make_rng(seed))
-    mask = functional_mask(AttackCategory.DOS)
+    mask = mask_for(AttackCategory.DOS, FUNCTIONAL_ONLY)
     noise = nn.make_rng(seed + 1).random((len(batch), config.noise_dim))
     _, continuous = gan._masked_forward(gen, batch, mask, noise)
     loss = generator_step(gen, critic, nn.RmsProp(), batch, mask, noise)
@@ -131,7 +131,7 @@ class TestGeneratorLoss:
         gen = build_generator(config, nn.make_rng(8))
         critic = constant_critic(1.0)
         opt = nn.RmsProp(config.lr_g)
-        mask = functional_mask(AttackCategory.DOS)
+        mask = mask_for(AttackCategory.DOS, FUNCTIONAL_ONLY)
         batch = nn.make_rng(9).random((8, 41))
         noise = nn.make_rng(10).random((8, config.noise_dim))
         before = {k: v.copy() for k, v in gen.param_arrays().items()}
@@ -144,7 +144,7 @@ class TestGeneratorLoss:
         config = TrainConfig()
         gen = build_generator(config, nn.make_rng(11))
         critic = build_critic(config, nn.make_rng(12))
-        mask = functional_mask(AttackCategory.DOS)
+        mask = mask_for(AttackCategory.DOS, FUNCTIONAL_ONLY)
         batch = nn.make_rng(13).random((8, 41))
         noise = nn.make_rng(14).random((8, config.noise_dim))
 
