@@ -19,7 +19,6 @@ import json
 import math
 import re
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -88,16 +87,6 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def _parse_int(key: str, raw: str, least=None) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
-    if least is not None and value < least:
-        raise ConfigError(f"{key} must be at least {least}, got {value}")
-    return value
-
-
 def _parse_path(key: str, raw: str):
     return raw or None
 
@@ -123,29 +112,17 @@ _ALGORITHMS = _names_from(detectors.ALGORITHMS, "detector algorithm")
 _ATTACKS = _names_from(evaluate.ATTACK_GROUPS, "attack group")
 _SETTINGS = _names_from((FUNCTIONAL_ONLY, ABLATION), "constraint setting")
 
-# The run-level keys: key -> (ExperimentConfig attribute, parser (key, raw) -> value,
-# command-line flag, the flag's help). Each flag is shorthand for its key.
-RUN_KEYS = {
-    "data.train": ("train_path", _parse_path, "--train", "KDDTrain+ style data file"),
-    "data.test": ("test_path", _parse_path, "--test", "KDDTest+ style data file"),
-    "out": ("out_dir", lambda key, raw: raw, "--out", "output directory"),
-    "seed": ("master_seed", partial(_parse_int, least=0), "--seed", "master seed"),
-    "ids.algorithms": ("algorithms", _ALGORITHMS, "--ids", "comma list of detector algorithms"),
-    "attacks": ("attacks", _ATTACKS, "--attack", "comma list of attack groups"),
-    "settings": ("settings", _SETTINGS, "--setting", "comma list of constraint settings"),
-    "jobs": ("jobs", partial(_parse_int, least=1), "--jobs", "parallel workers for grid cells"),
-}
-
-
-def _parse_hyperparam(key: str, raw: str, default):
-    """A gan.* or ids.* value: parsed like its default, then held to the one rule for its kind."""
+def _parse_value(key: str, raw: str, default=0):
+    """A seed, jobs, gan.* or ids.* value: parsed like its default (an integer
+    unless given), then held to the one rule for its kind."""
     value = _parse_scalar(raw)
     if isinstance(default, tuple):
         value = value if isinstance(value, tuple) else (value,)
         ok = bool(value) and all(isinstance(v, int) and v >= 1 for v in value)
         expected = "one or more integers >= 1"
     elif isinstance(default, int):
-        least = 0 if key in ("gan.epochs", "ids.knn.max_reference") else 1  # 0: no epochs / no cap
+        # Any non-negative seed; 0 epochs means no training; a 0 cap means no cap.
+        least = 0 if key in ("seed", "gan.epochs", "ids.knn.max_reference") else 1
         ok, expected = isinstance(value, int) and value >= least, f"an integer >= {least}"
     elif key == "gan.rmsprop_rho":
         ok, expected = isinstance(value, (int, float)) and 0 <= value < 1, "a number in [0, 1)"
@@ -157,6 +134,20 @@ def _parse_hyperparam(key: str, raw: str, default):
     return value
 
 
+# The run-level keys: key -> (ExperimentConfig attribute, parser (key, raw) -> value,
+# command-line flag, the flag's help). Each flag is shorthand for its key.
+RUN_KEYS = {
+    "data.train": ("train_path", _parse_path, "--train", "KDDTrain+ style data file"),
+    "data.test": ("test_path", _parse_path, "--test", "KDDTest+ style data file"),
+    "out": ("out_dir", lambda key, raw: raw, "--out", "output directory"),
+    "seed": ("master_seed", _parse_value, "--seed", "master seed"),
+    "ids.algorithms": ("algorithms", _ALGORITHMS, "--ids", "comma list of detector algorithms"),
+    "attacks": ("attacks", _ATTACKS, "--attack", "comma list of attack groups"),
+    "settings": ("settings", _SETTINGS, "--setting", "comma list of constraint settings"),
+    "jobs": ("jobs", _parse_value, "--jobs", "parallel workers for grid cells"),
+}
+
+
 def _apply_key(config: evaluate.ExperimentConfig, key: str, raw: str) -> None:
     section, _, name = key.partition(".")
     algorithm, _, param = name.partition(".")
@@ -164,9 +155,9 @@ def _apply_key(config: evaluate.ExperimentConfig, key: str, raw: str) -> None:
         attr, parse, _, _ = RUN_KEYS[key]
         setattr(config, attr, parse(key, raw))
     elif section == "gan" and name in _GAN_DEFAULTS:
-        setattr(config.gan, name, _parse_hyperparam(key, raw, _GAN_DEFAULTS[name]))
+        setattr(config.gan, name, _parse_value(key, raw, _GAN_DEFAULTS[name]))
     elif section == "ids" and param in detectors.DEFAULT_HYPERPARAMS.get(algorithm, ()):
-        value = _parse_hyperparam(key, raw, detectors.DEFAULT_HYPERPARAMS[algorithm][param])
+        value = _parse_value(key, raw, detectors.DEFAULT_HYPERPARAMS[algorithm][param])
         config.ids_hyperparams.setdefault(algorithm, {})[param] = value
     else:
         raise ConfigError(f"unknown config key: {key}")

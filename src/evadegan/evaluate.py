@@ -215,8 +215,9 @@ def prepare_grid_inputs(config: ExperimentConfig) -> _GridInputs:
     """Split, schema and encoded matrices of a run, derived from its train file and seed.
 
     The test file is read only when ``config.test_path`` is set, after the
-    train file's matrices are made; the staged commands train without one,
-    and their ``test_attacks`` is empty.
+    train file's matrices are made, and every requested attack group must
+    have test rows; the staged commands train without one, and their
+    ``test_attacks`` is empty.
     """
     train = load_file(config.train_path)
     ids_rows, gan_rows, schema = split_and_schema(train, config.master_seed)
@@ -241,6 +242,9 @@ def prepare_grid_inputs(config: ExperimentConfig) -> _GridInputs:
         test = load_file(config.test_path)
         test_X = _encode_in_place(test, schema)
         test_attacks = {name: test_X[test.is_in(group)] for name, group in ATTACK_GROUPS.items()}
+        for attack in config.attacks:
+            if len(test_attacks[attack]) == 0:
+                raise EmptyEvaluationSet(f"no {attack} attack records in the test split")
     return _GridInputs(
         schema=schema,
         fingerprint=schema.fingerprint(),
@@ -274,9 +278,6 @@ def fit_detector(inputs: _GridInputs, config: ExperimentConfig, algorithm: str) 
     """
     try:
         tested = config.attacks if inputs.test_attacks else ()
-        for attack in tested:
-            if len(inputs.test_attacks[attack]) == 0:
-                raise EmptyEvaluationSet(f"no {attack} attack records in the test split")
         model = detectors.fit(
             algorithm,
             inputs.ids_X,

@@ -67,7 +67,8 @@ _ABLATION_EXTRA = {
 _ABLATION_EXTRA[AttackCategory.R2L] = _ABLATION_EXTRA[AttackCategory.U2R]
 
 
-@dataclass(frozen=True)
+# Each mask is one shared object of `MASKS`, so masks compare by identity.
+@dataclass(frozen=True, eq=False)
 class FeatureMask:
     modifiable: np.ndarray
     category: AttackCategory

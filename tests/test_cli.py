@@ -43,6 +43,20 @@ HYPERPARAM_VALUES = [
 ]
 
 
+SEED_JOBS_VALUES = HYPERPARAM_VALUES + [" 5 ", "+3", "1_000", "007", "5,", "0x10"]
+
+
+def _reference_parse_int(key: str, raw: str, least: int) -> int:
+    """The seed and jobs parser that the one rule replaced."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
+    if value < least:
+        raise ConfigError(f"{key} must be at least {least}, got {value}")
+    return value
+
+
 def _reference_validate(cfg: gan.TrainConfig) -> None:
     """The gan.* checks that one rule replaced: a check of the merged TrainConfig."""
     for name in ("batch_size", "epochs", "noise_dim", "g_steps", "d_steps", "probe_size"):
@@ -265,6 +279,32 @@ class TestConfigParsing:
             assert (config is None) == (expected is None), f"{key}={raw!r}"
             if config is not None:
                 assert effective_config_text(config) == effective_config_text(expected)
+
+    @pytest.mark.parametrize("key,attr,least", [("seed", "master_seed", 0), ("jobs", "jobs", 1)])
+    def test_seed_and_jobs_rule_equals_the_one_it_replaced(self, key, attr, least):
+        """seed and jobs, as a flag or a --set, accept and store what their own
+        integer parser did, and effective.cfg renders them the same."""
+        for raw in SEED_JOBS_VALUES:
+            expected = evaluate.ExperimentConfig(train_path="t.txt")
+            try:
+                setattr(expected, attr, _reference_parse_int(key, raw, least))
+            except ConfigError:
+                expected = None
+            for given in ([f"--{key}={raw}"], ["--set", f"{key}={raw}"]):
+                argv = ["evaluate", "--train", "t.txt", *given]
+                try:
+                    config = build_run_config(make_parser().parse_args(argv))
+                except ConfigError:
+                    config = None
+                assert (config is None) == (expected is None), f"{given}"
+                if config is not None:
+                    assert type(getattr(config, attr)) is int, f"{given}"
+                    assert getattr(config, attr) == getattr(expected, attr), f"{given}"
+                    assert effective_config_text(config) == effective_config_text(expected)
+
+    def test_seed_message_names_the_rule(self, capsys):
+        assert run_cli("prepare", "--train", "t.txt", "--seed", "-1") == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: seed must be an integer >= 0, got -1\n"
 
     @pytest.mark.parametrize(
         "flags",
@@ -726,6 +766,33 @@ class TestEvaluate:
         for name in kept:
             assert (failed / "traces" / name).read_bytes() == (whole / "traces" / name).read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_test_file_without_a_requested_group_is_data_error(
+        self, corpus_dir, tmp_path, monkeypatch, capsys, jobs
+    ):
+        """The test file's groups are checked as it is read, before any detector is fit."""
+        lost = (nslkdd.AttackCategory.U2R, nslkdd.AttackCategory.R2L)
+        lines = (corpus_dir / "test.txt").read_text().splitlines()
+        test = tmp_path / "no_u2r_r2l.txt"
+        test.write_text(
+            "\n".join(l for l in lines if nslkdd.map_attack(l.split(",")[41]) not in lost) + "\n"
+        )
+        fits = []
+        monkeypatch.setattr(detectors, "fit", lambda *args, **kwargs: fits.append(args))
+        out = tmp_path / "o"
+        code = run_cli(
+            "evaluate", "--train", str(corpus_dir / "train.txt"), "--test", str(test),
+            "--out", str(out), "--ids", "lr,nb", "--attack", "dos,u2r_r2l", "--jobs", jobs,
+            *FAST_GAN,
+        )
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "data error: no u2r_r2l attack records in the test split\n"
+        )
+        assert not out.exists()
+        if jobs == "1":
+            assert fits == []
+
     def test_missing_test_path_is_config_error(self, corpus_dir):
         code = run_cli("evaluate", "--train", str(corpus_dir / "train.txt"))
         assert code == EXIT_CONFIG
@@ -788,14 +855,15 @@ class TestMalformedInput:
 class TestCellErrorExitCodes:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_data_cause_is_data_error(self, corpus_dir, tmp_path, capsys, jobs):
+        # a train file of normal records only: each detector fit sees one class
         normals_only = tmp_path / "normals.txt"
-        lines = (corpus_dir / "test.txt").read_text().splitlines()
+        lines = (corpus_dir / "train.txt").read_text().splitlines()
         normals_only.write_text(
             "\n".join(l for l in lines if l.split(",")[41] == "normal") + "\n"
         )
         code = run_cli(
-            "evaluate", "--train", str(corpus_dir / "train.txt"),
-            "--test", str(normals_only), "--out", str(tmp_path / "o"),
+            "evaluate", "--train", str(normals_only),
+            "--test", str(corpus_dir / "test.txt"), "--out", str(tmp_path / "o"),
             "--ids", "nb,dt", "--attack", "dos", "--jobs", jobs, *FAST_GAN,
         )
         assert code == EXIT_DATA

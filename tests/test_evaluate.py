@@ -263,6 +263,22 @@ class TestRunExperiment:
         ))
         assert live == [workers] * len(attacks)
 
+    def test_fit_pool_is_gone_before_the_cell_pool_starts(self, corpus_dir):
+        # two fits in a pool of two, then two cells in a pool of two
+        config = ExperimentConfig(
+            train_path=str(corpus_dir / "train.txt"),
+            algorithms=("nb", "lr"),
+            attacks=("dos",),
+            settings=("functional_only",),
+            gan=gan.TrainConfig(epochs=1, probe_size=32),
+            jobs=2,
+        )
+        live = []
+        run_experiment(config, on_cell=lambda key, cell: live.append(
+            len(multiprocessing.active_children())
+        ))
+        assert live == [2, 2]
+
     def test_cell_error_carries_context(self, corpus_dir):
         config = ExperimentConfig(
             train_path=str(corpus_dir / "train.txt"),

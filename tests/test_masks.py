@@ -265,6 +265,13 @@ class TestMaskTable:
             mask.modifiable[:] = True
         assert np.array_equal(mask.modifiable, before)
 
+    def test_masks_compare_by_identity(self):
+        dos = mask_for(AttackCategory.DOS, FUNCTIONAL_ONLY)
+        u2r = mask_for(AttackCategory.U2R, FUNCTIONAL_ONLY)
+        assert dos != u2r
+        assert dos == mask_for(AttackCategory.DOS, FUNCTIONAL_ONLY)
+        assert {dos, u2r} == {u2r, dos} and len({dos}) == 1
+
     @pytest.mark.parametrize(
         "category, setting",
         [
